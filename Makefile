@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race verify-gate chaos sim obs bench bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race verify-gate pipeline chaos sim obs bench bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate sim obs
+tier1: verify-gate pipeline sim obs
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -15,6 +15,15 @@ tier1: verify-gate sim obs
 verify-gate:
 	$(GO) test -race -v -timeout 5m ./internal/verify/
 	$(GO) test -race -timeout 5m -run 'TestVerifyGate' ./internal/core/
+
+# Change-proportional pipeline (DESIGN.md §17): the incremental verify
+# gate, SyncFleet/ApplyRecabling and monitoring derivation against their
+# whole-fleet references over seeded random change histories, the
+# fleet-size independence of their per-change work, the provisioning
+# check-error fix and the total violation order, under the race detector.
+pipeline:
+	$(GO) test -race -timeout 10m -run 'TestPipeline|TestProvisionRaisesNoCheckErrors' ./internal/core/
+	$(GO) test -race -timeout 5m -run 'TestViolationOrderIsTotal' ./internal/verify/
 
 build:
 	$(GO) build ./...

@@ -29,7 +29,7 @@ type Generator struct {
 	// (metrics field) and are atomic.
 	memoMu   sync.Mutex
 	derived  map[string]*deriveEntry // device name -> memoized derivation
-	rendered map[string]string       // template hash + wire hash -> config
+	rendered map[string]renderEntry  // device -> its last render
 
 	// metrics is bound to a private registry until Instrument rebinds it
 	// to the shared one; a nil registry disables instrumentation.
@@ -80,7 +80,7 @@ func NewGenerator(store *fbnet.Store, repo *revctl.Repo) (*Generator, error) {
 		store: store, repo: repo,
 		cache:    make(map[string]*tmpl.Template),
 		derived:  make(map[string]*deriveEntry),
-		rendered: make(map[string]string),
+		rendered: make(map[string]renderEntry),
 		metrics:  bindGenMetrics(telemetry.NewRegistry()),
 	}
 	for syntax, body := range map[string]string{
@@ -415,8 +415,8 @@ func addrOfPrefix(pfx string) string {
 // Derivation is memoized against the store's binlog (memo.go). On a fresh
 // result the derived data is round-tripped through its Thrift wire form —
 // config generation consumes exactly what would cross the RPC boundary —
-// and rendered; when the exact (template, wire) pair was rendered before,
-// both the round-trip and the render are skipped.
+// and rendered; when the device's last render came from the same
+// (template, wire) pair, both the round-trip and the render are skipped.
 func (g *Generator) GenerateDevice(deviceName string) (string, error) {
 	return g.generateDevice(deviceName, nil)
 }
@@ -442,12 +442,12 @@ func (g *Generator) generateDevice(deviceName string, sp *telemetry.Span) (strin
 	}
 	rkey := revctl.Hash(body) + "\x00" + e.wireHash
 	g.memoMu.Lock()
-	cfg, hit := g.rendered[rkey]
+	last, ok := g.rendered[deviceName]
 	g.memoMu.Unlock()
-	if hit {
+	if ok && last.key == rkey {
 		g.metrics.renderHits.Inc()
 		sp.SetAttr("render", "hit")
-		return cfg, nil
+		return last.cfg, nil
 	}
 	sp.SetAttr("render", "miss")
 	var decoded DeviceData
@@ -465,9 +465,17 @@ func (g *Generator) generateDevice(deviceName string, sp *telemetry.Span) (strin
 	g.metrics.roundTrips.Inc()
 	g.metrics.renders.Inc()
 	g.memoMu.Lock()
-	g.rendered[rkey] = out
+	g.rendered[deviceName] = renderEntry{key: rkey, cfg: out}
 	g.memoMu.Unlock()
 	return out, nil
+}
+
+// renderEntry is a device's last rendered config and the (template, wire)
+// key it was rendered from. Only the last render is kept: a config is
+// re-rendered when its inputs change, and the cache stays one config per
+// device however long the history.
+type renderEntry struct {
+	key, cfg string
 }
 
 // compile parses a template, caching by path + content hash so repository

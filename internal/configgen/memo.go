@@ -134,7 +134,7 @@ func (g *Generator) ResetMemo() {
 	g.memoMu.Lock()
 	defer g.memoMu.Unlock()
 	g.derived = make(map[string]*deriveEntry)
-	g.rendered = make(map[string]string)
+	g.rendered = make(map[string]renderEntry)
 }
 
 // deriveCached returns the device's derivation, reusing the memoized one

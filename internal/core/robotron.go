@@ -27,6 +27,7 @@ import (
 	"github.com/robotron-net/robotron/internal/relstore"
 	"github.com/robotron-net/robotron/internal/revctl"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/topo"
 	"github.com/robotron-net/robotron/internal/vclock"
 	"github.com/robotron-net/robotron/internal/verify"
 )
@@ -59,6 +60,11 @@ type Robotron struct {
 	Verifier     *verify.Checker
 	VerifyIntent bool
 
+	// Topo is the binlog-tailed topology index over Store that the verify
+	// gate, SyncFleet and DeriveMonitoring read; each keeps its own
+	// cursor into it and redoes only what changed since (pipeline.go).
+	Topo *topo.Index
+
 	// Telemetry is the shared metrics registry every subsystem reports
 	// into; Tracer collects pipeline traces (one root span per
 	// GenerateAndDeploy / ProvisionCluster). Both are always non-nil.
@@ -83,6 +89,10 @@ type Robotron struct {
 
 	// clock is the override from Options.Clock; nil means wall clock.
 	clock vclock.Clock
+
+	fleetSync fleetSync
+	monDerive monDerive
+	pipe      pipelineMetrics
 }
 
 // Options configure construction.
@@ -236,7 +246,9 @@ func New(opts Options) (*Robotron, error) {
 	deployer.Instrument(reg)
 	cm.Instrument(reg)
 	jm.Instrument(reg)
+	idx := topo.New(store)
 	verifier := verify.NewChecker(store, gen.Golden)
+	verifier.SetIndex(idx)
 	verifier.Instrument(reg)
 	var alarms *monitor.AlarmEngine
 	if opts.EnableAlarms == nil || *opts.EnableAlarms {
@@ -261,6 +273,7 @@ func New(opts Options) (*Robotron, error) {
 
 		Verifier:     verifier,
 		VerifyIntent: opts.VerifyIntent == nil || *opts.VerifyIntent,
+		Topo:         idx,
 
 		Alarms: alarms,
 		clock:  opts.Clock,
@@ -271,6 +284,7 @@ func New(opts Options) (*Robotron, error) {
 
 		Logf: opts.Logf,
 	}
+	r.pipe.instrument(reg)
 	if opts.EnableReconciler {
 		rc := opts.Reconcile
 		if rc.Alert == nil {
@@ -408,154 +422,6 @@ func (r *Robotron) now() time.Time {
 	return time.Now()
 }
 
-// vendorOf resolves a device's netsim vendor personality from its FBNet
-// hardware profile.
-func (r *Robotron) vendorOf(dev fbnet.Object) (netsim.Vendor, error) {
-	hw, err := r.Store.GetByID("HardwareProfile", dev.Ref("hw_profile"))
-	if err != nil {
-		return "", err
-	}
-	vendor, err := r.Store.GetByID("Vendor", hw.Ref("vendor"))
-	if err != nil {
-		return "", err
-	}
-	switch vendor.String("syntax") {
-	case "vendor2":
-		return netsim.Vendor2, nil
-	default:
-		return netsim.Vendor1, nil
-	}
-}
-
-// SyncFleet materializes the physical network implied by FBNet Desired
-// state into the simulator: devices exist, cables follow circuits, and
-// every device logs to the classifier. Idempotent. In production this is
-// the part of the world Robotron does NOT control — racking and cabling —
-// which is why design changes and deployments are decoupled (§8).
-func (r *Robotron) SyncFleet() error {
-	devs, err := r.Store.Find("Device", nil)
-	if err != nil {
-		return err
-	}
-	siteOf := map[int64]string{}
-	for _, dev := range devs {
-		name := dev.String("name")
-		if _, exists := r.Fleet.Device(name); exists {
-			continue
-		}
-		siteID := dev.Ref("site")
-		if _, ok := siteOf[siteID]; !ok {
-			site, err := r.Store.GetByID("Site", siteID)
-			if err != nil {
-				return err
-			}
-			siteOf[siteID] = site.String("name")
-		}
-		vendor, err := r.vendorOf(dev)
-		if err != nil {
-			return err
-		}
-		d, err := r.Fleet.AddDevice(name, vendor, dev.String("role"), siteOf[siteID])
-		if err != nil {
-			return err
-		}
-		d.SetSyslogSink(func(m netsim.SyslogMessage) { r.Classifier.Process(m) })
-		if r.clock != nil {
-			d.SetTimeFunc(r.clock.Now)
-		}
-	}
-	// Cable per Desired circuit.
-	circuits, err := r.Store.Find("Circuit", fbnet.Ne("status", "decommissioned"))
-	if err != nil {
-		return err
-	}
-	for _, c := range circuits {
-		aDev, aIf, ok1, err := r.circuitEnd(c, "a_interface")
-		if err != nil {
-			return err
-		}
-		zDev, zIf, ok2, err := r.circuitEnd(c, "z_interface")
-		if err != nil {
-			return err
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		if far, farIf, cabled := r.Fleet.CableOf(aDev, aIf); cabled {
-			if far != zDev || farIf != zIf {
-				return fmt.Errorf("core: %s:%s is cabled to %s:%s but the design wants %s:%s",
-					aDev, aIf, far, farIf, zDev, zIf)
-			}
-			continue
-		}
-		if err := r.Fleet.Wire(aDev, aIf, zDev, zIf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *Robotron) circuitEnd(c fbnet.Object, field string) (dev, iface string, ok bool, err error) {
-	pifID := c.Ref(field)
-	if pifID == 0 {
-		return "", "", false, nil
-	}
-	pif, err := r.Store.GetByID("PhysicalInterface", pifID)
-	if err != nil {
-		return "", "", false, err
-	}
-	lc, err := r.Store.GetByID("Linecard", pif.Ref("linecard"))
-	if err != nil {
-		return "", "", false, err
-	}
-	d, err := r.Store.GetByID("Device", lc.Ref("device"))
-	if err != nil {
-		return "", "", false, err
-	}
-	return d.String("name"), pif.String("name"), true, nil
-}
-
-// ApplyRecabling reconciles the physical cabling with the Desired
-// circuits: cables contradicting the design are removed and the designed
-// ones installed — the field technician executing a cabling work order
-// after a circuit migration. Returns the number of cables moved.
-func (r *Robotron) ApplyRecabling() (int, error) {
-	circuits, err := r.Store.Find("Circuit", fbnet.Ne("status", "decommissioned"))
-	if err != nil {
-		return 0, err
-	}
-	moved := 0
-	for _, c := range circuits {
-		aDev, aIf, ok1, err := r.circuitEnd(c, "a_interface")
-		if err != nil {
-			return moved, err
-		}
-		zDev, zIf, ok2, err := r.circuitEnd(c, "z_interface")
-		if err != nil {
-			return moved, err
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		for _, end := range [][2]string{{aDev, aIf}, {zDev, zIf}} {
-			if far, farIf, cabled := r.Fleet.CableOf(end[0], end[1]); cabled {
-				wantFar, wantFarIf := zDev, zIf
-				if end[0] == zDev && end[1] == zIf {
-					wantFar, wantFarIf = aDev, aIf
-				}
-				if far != wantFar || farIf != wantFarIf {
-					r.Fleet.Uncable(end[0], end[1])
-					moved++
-				}
-			}
-		}
-	}
-	if err := r.SyncFleet(); err != nil {
-		return moved, err
-	}
-	return moved, nil
-}
-
 // ProvisionResult reports a cluster provisioning run.
 type ProvisionResult struct {
 	Build   design.BuildResult
@@ -603,18 +469,24 @@ func (r *Robotron) ProvisionCluster(ctx design.ChangeContext, siteName, clusterN
 		return out, fmt.Errorf("core: intent verification failed: %w", err)
 	}
 
+	// Goldens are the intent and move before any device does, as in
+	// GenerateAndDeploy. Config monitoring holds the devices while they
+	// are erased and loaded: InitialProvision checks each one's running
+	// config against its golden itself.
+	for name, cfg := range configs {
+		if _, err := r.Generator.CommitGolden(name, cfg, ctx.EmployeeID, "initial provisioning of "+clusterName); err != nil {
+			return out, err
+		}
+	}
 	psp := tr.Child("provision")
+	release := r.ConfigMon.Hold(build.DeviceNames)
 	rep, err := r.Deployer.InitialProvision(configs, deploy.Options{Notify: r.Logf, Parallelism: r.DeployParallelism, Retry: r.DeployRetry})
+	release()
 	psp.End()
 	out.Report = rep
 	if err != nil {
 		tr.SetAttr("error", err.Error())
 		return out, fmt.Errorf("core: initial provisioning failed: %w", err)
-	}
-	for name, cfg := range configs {
-		if _, err := r.Generator.CommitGolden(name, cfg, ctx.EmployeeID, "initial provisioning of "+clusterName); err != nil {
-			return out, err
-		}
 	}
 	// Promote the cluster and its circuits to production and undrain.
 	_, err = r.Store.Mutate(func(m *fbnet.Mutation) error {
@@ -864,27 +736,6 @@ func (r *Robotron) CollectOnce() error {
 	}
 	_, err := monitor.DeriveCircuits(r.Store)
 	return err
-}
-
-// DeriveMonitoring regenerates the intent-derived monitoring config:
-// collection jobs and alarm rules are recomputed from FBNet and swapped
-// in atomically (jobs under the "derived-" prefix, the full alarm rule
-// set). No-op when the alarm engine is disabled. Called automatically
-// after ProvisionCluster and GenerateAndDeploy.
-func (r *Robotron) DeriveMonitoring() error {
-	if r.Alarms == nil {
-		return nil
-	}
-	jobs, rules, err := monitor.DeriveJobs(r.Store)
-	if err != nil {
-		return err
-	}
-	if err := r.JobManager.ReplaceJobs("derived-", jobs); err != nil {
-		return err
-	}
-	r.Alarms.ReplaceRules(rules)
-	r.logf("monitor: derived %d collection jobs, %d alarm rules", len(jobs), len(rules))
-	return nil
 }
 
 // ObserveOnce is one full monitoring cycle with evaluation: every

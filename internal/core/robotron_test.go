@@ -10,6 +10,7 @@ import (
 	"github.com/robotron-net/robotron/internal/design"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/topo"
 )
 
 func testCtx(domain string) design.ChangeContext {
@@ -43,6 +44,25 @@ func provisionPOP(t testing.TB, r *Robotron) ProvisionResult {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// circuitAEnd resolves a circuit's a-side device and interface names
+// through the topology index.
+func circuitAEnd(t testing.TB, r *Robotron, id int64) (dev, iface string) {
+	t.Helper()
+	var err error
+	if verr := r.Topo.View(func(tp *topo.Topology) {
+		c, _ := tp.Circuit(id)
+		var a topo.End
+		a, _, err = tp.End(c.A)
+		dev, iface = a.Name, a.Iface
+	}); verr != nil {
+		t.Fatal(verr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev, iface
 }
 
 // TestFullLifeCycle drives design → generation → deployment → monitoring
@@ -105,10 +125,7 @@ func TestFiberCutDetectedByAudit(t *testing.T) {
 	if len(circuits) == 0 {
 		t.Fatal("no circuits")
 	}
-	aDev, aIf, _, err := r.circuitEnd(circuits[0], "a_interface")
-	if err != nil {
-		t.Fatal(err)
-	}
+	aDev, aIf := circuitAEnd(t, r, circuits[0].ID)
 	if !r.Fleet.Uncable(aDev, aIf) {
 		t.Fatal("uncable failed")
 	}
@@ -340,7 +357,7 @@ func TestSyncFleetDetectsMiscabling(t *testing.T) {
 	}
 	// A tech cables bb1's port to bb3 instead.
 	cir, _ := r.Store.FindOne("Circuit", nil)
-	aDev, aIf, _, _ := r.circuitEnd(cir, "a_interface")
+	aDev, aIf := circuitAEnd(t, r, cir.ID)
 	// Pre-create the devices so we can miswire before SyncFleet.
 	if err := r.SyncFleet(); err != nil {
 		t.Fatal(err)

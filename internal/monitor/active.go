@@ -343,6 +343,65 @@ func (jm *JobManager) ReplaceJobs(prefix string, specs []JobSpec) error {
 	return nil
 }
 
+// ReplaceDeviceJobs swaps the prefixed single-device jobs of the named
+// devices for specs, leaving every other device's jobs in place — the
+// per-device re-derivation primitive. The installed order is the one a
+// full ReplaceJobs of the whole derived set would give: unprefixed jobs
+// first, in their order, then prefixed jobs by device name, each
+// device's in the order given. Specs are validated first; on error the
+// installed set is unchanged.
+func (jm *JobManager) ReplaceDeviceJobs(prefix string, devices []string, specs []JobSpec) error {
+	if prefix == "" {
+		return fmt.Errorf("monitor: ReplaceDeviceJobs requires a non-empty prefix")
+	}
+	drop := make(map[string]bool, len(devices))
+	for _, d := range devices {
+		drop[d] = true
+	}
+	seen := make(map[string]bool, len(specs))
+	for _, spec := range specs {
+		if !strings.HasPrefix(spec.Name, prefix) || len(spec.Devices) != 1 || !drop[spec.Devices[0]] {
+			return fmt.Errorf("monitor: job %q is not a %q job of a replaced device", spec.Name, prefix)
+		}
+		if seen[spec.Name] {
+			return fmt.Errorf("monitor: duplicate job %q", spec.Name)
+		}
+		seen[spec.Name] = true
+		if err := jm.validate(spec); err != nil {
+			return err
+		}
+	}
+	added := append([]JobSpec(nil), specs...)
+	sort.SliceStable(added, func(i, j int) bool { return added[i].Devices[0] < added[j].Devices[0] })
+	device := func(s JobSpec) string {
+		if len(s.Devices) == 1 {
+			return s.Devices[0]
+		}
+		return ""
+	}
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	out := make([]JobSpec, 0, len(jm.specs)+len(specs))
+	var derived []JobSpec
+	for _, s := range jm.specs {
+		switch {
+		case !strings.HasPrefix(s.Name, prefix):
+			out = append(out, s)
+		case !drop[device(s)]:
+			derived = append(derived, s)
+		}
+	}
+	for len(derived) > 0 || len(added) > 0 {
+		if len(added) == 0 || (len(derived) > 0 && device(derived[0]) <= device(added[0])) {
+			out, derived = append(out, derived[0]), derived[1:]
+		} else {
+			out, added = append(out, added[0]), added[1:]
+		}
+	}
+	jm.specs = out
+	return nil
+}
+
 func (jm *JobManager) validate(spec JobSpec) error {
 	if spec.Name == "" {
 		return fmt.Errorf("monitor: job name required")

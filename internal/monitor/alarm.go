@@ -223,15 +223,7 @@ func (ae *AlarmEngine) Instrument(reg *telemetry.Registry) {
 // the design no longer declares the thing they watched.
 func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) {
 	sorted := append([]AlarmRule(nil), rules...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		if sorted[i].Device != sorted[j].Device {
-			return sorted[i].Device < sorted[j].Device
-		}
-		return sorted[i].Key < sorted[j].Key
-	})
+	sort.Slice(sorted, func(i, j int) bool { return ruleLess(&sorted[i], &sorted[j]) })
 	ae.mu.Lock()
 	defer ae.mu.Unlock()
 	ae.rules = sorted
@@ -247,6 +239,56 @@ func (ae *AlarmEngine) ReplaceRules(rules []AlarmRule) {
 			delete(ae.active, id)
 		}
 	}
+}
+
+// ReplaceDeviceRules swaps the rules of the named devices for rules,
+// leaving every other device's rules in place — the per-device
+// re-derivation primitive. The installed order is the one ReplaceRules
+// would give for the whole set, and active alarms of those devices whose
+// rule disappeared are dropped, as ReplaceRules drops them.
+func (ae *AlarmEngine) ReplaceDeviceRules(devices []string, rules []AlarmRule) {
+	drop := make(map[string]bool, len(devices))
+	for _, d := range devices {
+		drop[d] = true
+	}
+	added := append([]AlarmRule(nil), rules...)
+	sort.Slice(added, func(i, j int) bool { return ruleLess(&added[i], &added[j]) })
+	known := make(map[string]bool, len(added))
+	for i := range added {
+		known[added[i].id()] = true
+	}
+	ae.mu.Lock()
+	defer ae.mu.Unlock()
+	out := make([]AlarmRule, 0, len(ae.rules)+len(added))
+	for i := range ae.rules {
+		r := &ae.rules[i]
+		if drop[r.Device] {
+			continue
+		}
+		for len(added) > 0 && ruleLess(&added[0], r) {
+			out, added = append(out, added[0]), added[1:]
+		}
+		out = append(out, *r)
+	}
+	ae.rules = append(out, added...)
+	for id, al := range ae.active {
+		if drop[al.Device] && !known[id] {
+			if al.State == AlarmFiring && ae.mFiring != nil {
+				ae.mFiring.Dec()
+			}
+			delete(ae.active, id)
+		}
+	}
+}
+
+func ruleLess(a, b *AlarmRule) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	if a.Device != b.Device {
+		return a.Device < b.Device
+	}
+	return a.Key < b.Key
 }
 
 // Rules returns the installed rule set.

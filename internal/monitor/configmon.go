@@ -28,6 +28,9 @@ type ConfigMonitor struct {
 	checkErrs   int64
 	checkPanics int64
 	errHandlers []func(device string, err error)
+	// held counts, per device, the Hold calls in force: change events of
+	// a held device are expected and not checked.
+	held map[string]int
 
 	// Registry-backed mirrors of the counters above; nil (no-op) until
 	// Instrument.
@@ -74,13 +77,47 @@ func NewConfigMonitor(jm *JobManager, repo *revctl.Repo, store *fbnet.Store, gol
 // rather than waiting for the next change event that may never come.
 func (cm *ConfigMonitor) Attach(cls *Classifier) {
 	cls.OnAlert(func(a Alert) {
-		if a.Rule != "config-changed" {
+		if a.Rule != "config-changed" || cm.isHeld(a.Message.Host) {
 			return
 		}
 		if _, err := cm.CheckDevice(a.Message.Host); err != nil {
 			cm.noteCheckError(a.Message.Host, err)
 		}
 	})
+}
+
+// Hold stops event-triggered checks of the devices until the returned
+// release is called. Initial provisioning holds its devices: erasing a
+// device before loading its config raises a change event whose check
+// would report the whole golden as missing, and the provisioning itself
+// verifies each device's running config against its golden.
+func (cm *ConfigMonitor) Hold(devices []string) (release func()) {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	if cm.held == nil {
+		cm.held = map[string]int{}
+	}
+	for _, d := range devices {
+		cm.held[d]++
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			cm.mu.Lock()
+			defer cm.mu.Unlock()
+			for _, d := range devices {
+				if cm.held[d]--; cm.held[d] <= 0 {
+					delete(cm.held, d)
+				}
+			}
+		})
+	}
+}
+
+func (cm *ConfigMonitor) isHeld(device string) bool {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	return cm.held[device] > 0
 }
 
 // OnDeviation registers a handler for detected discrepancies.

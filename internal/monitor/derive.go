@@ -5,8 +5,12 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/fbnet"
+	"github.com/robotron-net/robotron/internal/topo"
 )
 
+// DeriveJobs is the full-walk reference derivation: DeriveDevice over the
+// topology index must produce, device by device, exactly what it does.
+//
 // DeriveJobs walks FBNet Desired state and emits the collection job set
 // plus the alarm rule set it implies — monitoring config is generated
 // from intent exactly like device config (§5.4: "collection configs are
@@ -157,4 +161,80 @@ func vendorSyntax(store *fbnet.Store, devices []fbnet.Object) (map[string]string
 		out[d.String("name")] = vendor.String("syntax")
 	}
 	return out, nil
+}
+
+// DeriveDevice derives one device's share of DeriveJobs' output from the
+// topology index: its jobs in DeriveJobs' order (counters, interfaces,
+// then BGP), and its alarm rules. A device that does not exist yields
+// nothing.
+func DeriveDevice(t *topo.Topology, id int64) ([]JobSpec, []AlarmRule) {
+	d, ok := t.Device(id)
+	if !ok {
+		return nil, nil
+	}
+	name := d.Name
+	syntax, ok := t.Syntax(id)
+	if !ok {
+		syntax = "vendor1"
+	}
+	countersEngine, ifaceEngine, bgpEngine := EngineSNMP, EngineSNMP, EngineCLI
+	if syntax == "vendor2" {
+		countersEngine, ifaceEngine, bgpEngine = EngineThrift, EngineRPCXML, EngineThrift
+	}
+	jobs := []JobSpec{
+		{Name: "derived-counters-" + name, Period: 1 * time.Minute,
+			Engine: countersEngine, Data: DataCounters,
+			Devices: []string{name}, Backends: []string{"timeseries"}},
+		{Name: "derived-interfaces-" + name, Period: 2 * time.Minute,
+			Engine: ifaceEngine, Data: DataInterfaces,
+			Devices: []string{name}, Backends: []string{"timeseries", "fbnet-derived"}},
+	}
+	rules := []AlarmRule{{
+		Name: "device-unreachable", Kind: KindAbsence, Device: name,
+		Key: "cpu_util", Window: 5 * time.Minute, Urgency: Critical,
+	}}
+	hasBGP := false
+	for _, k := range t.SessionsOf(id) {
+		s, _ := t.Session(k)
+		if s.Local != id {
+			continue
+		}
+		hasBGP = true
+		if s.RemoteAddr != "" {
+			rules = append(rules, AlarmRule{
+				Name: "bgp-session-down", Kind: KindBGPState,
+				Device: name, Key: s.RemoteAddr, Urgency: Major,
+			})
+		}
+	}
+	if hasBGP {
+		jobs = append(jobs, JobSpec{Name: "derived-bgp-" + name, Period: 5 * time.Minute,
+			Engine: bgpEngine, Data: DataBGP,
+			Devices: []string{name}, Backends: []string{"fbnet-derived"}})
+	}
+	for _, p := range t.Pifs(id) {
+		pif, _ := t.Pif(p)
+		rules = append(rules,
+			AlarmRule{Name: "interface-flatline", Kind: KindAbsence, Device: name,
+				Key: pif.Name + "/in_octets", Window: 10 * time.Minute, Urgency: Warning},
+			AlarmRule{Name: "flatline-octets", Kind: KindFlatline, Device: name,
+				Key: pif.Name + "/out_octets", Urgency: Minor},
+		)
+	}
+	return jobs, rules
+}
+
+// DeriveAll is DeriveDevice over every device in name order: the whole
+// derived job and rule set, as DeriveJobs computes it.
+func DeriveAll(t *topo.Topology) ([]JobSpec, []AlarmRule) {
+	ids := t.DeviceIDs()
+	sort.Slice(ids, func(i, j int) bool { return t.DeviceName(ids[i]) < t.DeviceName(ids[j]) })
+	var jobs []JobSpec
+	var rules []AlarmRule
+	for _, id := range ids {
+		j, r := DeriveDevice(t, id)
+		jobs = append(jobs, j...)
+		rules = append(rules, r...)
+	}
+	return jobs, rules
 }

@@ -108,7 +108,7 @@ type Device struct {
 	running     string
 	candidate   string
 	hasCand     bool
-	history     []string // committed configs, oldest first
+	history     []string // committed configs, oldest first, at most rollbackDepth
 	ifaces      map[string]*ifaceState
 	bgpPeers    map[string]*BGPPeerStatus
 	lldp        map[string]LLDPNeighbor // keyed by local interface
@@ -403,10 +403,24 @@ func (d *Device) commitOp() error {
 	return nil
 }
 
+// rollbackDepth is how many previous configs a device keeps for
+// rollback: a bounded archive, as on a router, so a device committed
+// thousands of times does not hold thousands of configs.
+const rollbackDepth = 10
+
+// pushHistoryLocked archives cfg for rollback, dropping the oldest entry
+// past rollbackDepth.
+func (d *Device) pushHistoryLocked(cfg string) {
+	if len(d.history) >= rollbackDepth {
+		d.history = append(d.history[:0], d.history[len(d.history)-rollbackDepth+1:]...)
+	}
+	d.history = append(d.history, cfg)
+}
+
 // commitLocked activates cfg and refreshes derived operational state.
 func (d *Device) commitLocked(cfg string) {
 	if d.running != "" {
-		d.history = append(d.history, d.running)
+		d.pushHistoryLocked(d.running)
 	}
 	d.running = cfg
 	d.hasCand = false
@@ -576,7 +590,7 @@ func (d *Device) ApplyManualChange(line string) error {
 	if d.running != "" && !strings.HasSuffix(d.running, "\n") {
 		d.running += "\n"
 	}
-	d.history = append(d.history, d.running)
+	d.pushHistoryLocked(d.running)
 	d.running += line + "\n"
 	cb := d.onManual
 	d.mu.Unlock()
@@ -602,7 +616,7 @@ func (d *Device) InjectRunningConfig(cfg string) error {
 		return err
 	}
 	if d.running != "" {
-		d.history = append(d.history, d.running)
+		d.pushHistoryLocked(d.running)
 	}
 	d.running = cfg
 	d.reparseLocked()
@@ -649,7 +663,9 @@ func (d *Device) reparseLocked() {
 	}
 	for name := range names {
 		if _, ok := d.ifaces[name]; !ok {
-			d.ifaces[name] = &ifaceState{speedMbps: speed, rate: 1 << 20}
+			// Clone: the name is a substring of this config, and the
+			// interface (with its counters) outlives it.
+			d.ifaces[strings.Clone(name)] = &ifaceState{speedMbps: speed, rate: 1 << 20}
 		}
 	}
 	for name := range d.ifaces {

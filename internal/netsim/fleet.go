@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -43,6 +44,11 @@ type Fleet struct {
 	// on the next flush.
 	dirty map[string]struct{}
 
+	// cabling is the bounded record of which devices had a cable added
+	// or removed, for consumers that re-check only what moved since their
+	// last look (CablingChangesSince).
+	cabling cablingLog
+
 	// recomputeMu serializes whole recompute flushes. Commits from a
 	// parallel deployment trigger concurrent recomputes; without this, a
 	// pass computed from a stale snapshot (a peer's config not yet
@@ -54,6 +60,42 @@ type Fleet struct {
 
 type cable struct {
 	aDev, aIf, zDev, zIf string
+}
+
+// cablingLogMax bounds the cabling-change record; older changes are
+// dropped and a consumer behind them is told to re-check everything.
+const cablingLogMax = 4096
+
+// cablingLog numbers every per-device cabling change. seq is the last
+// number handed out; devs holds the devices of changes cut+1..seq.
+type cablingLog struct {
+	seq, cut uint64
+	devs     []string
+}
+
+func (l *cablingLog) record(devs ...string) {
+	for _, d := range devs {
+		if len(l.devs) >= cablingLogMax {
+			half := len(l.devs) / 2
+			l.cut += uint64(half)
+			l.devs = append(l.devs[:0], l.devs[half:]...)
+		}
+		l.seq++
+		l.devs = append(l.devs, d)
+	}
+}
+
+// CablingChangesSince returns the devices that had a cable added or
+// removed after cursor since, the cursor to pass next time, and whether
+// the record still reaches back to since (false: re-check everything).
+func (f *Fleet) CablingChangesSince(since uint64) (devices []string, next uint64, complete bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	l := &f.cabling
+	if since < l.cut || since > l.seq {
+		return nil, l.seq, false
+	}
+	return append([]string(nil), l.devs[since-l.cut:]...), l.seq, true
 }
 
 // NewFleet returns an empty fleet.
@@ -130,6 +172,7 @@ func (f *Fleet) Wire(aDev, aIf, zDev, zIf string) error {
 	}
 	nc := cable{aDev: aDev, aIf: aIf, zDev: zDev, zIf: zIf}
 	f.cables = append(f.cables, nc)
+	f.cabling.record(aDev, zDev)
 	f.cablesByDev[aDev] = append(f.cablesByDev[aDev], nc)
 	if zDev != aDev {
 		f.cablesByDev[zDev] = append(f.cablesByDev[zDev], nc)
@@ -178,6 +221,7 @@ func (f *Fleet) Uncable(dev, iface string) bool {
 			break
 		}
 	}
+	f.cabling.record(removed.aDev, removed.zDev)
 	f.removeCableFromDevLocked(removed.aDev, removed)
 	if removed.zDev != removed.aDev {
 		f.removeCableFromDevLocked(removed.zDev, removed)
@@ -258,7 +302,9 @@ func (f *Fleet) updateIndexesLocked(name string, tokens, peers []string) (change
 			owners := f.addrOwners[t]
 			if owners == nil {
 				owners = make(map[string]struct{}, 1)
-				f.addrOwners[t] = owners
+				// Clone the key: t is a substring of the running config,
+				// and a map key outlives it.
+				f.addrOwners[strings.Clone(t)] = owners
 			}
 			owners[name] = struct{}{}
 			changed = append(changed, t)
@@ -289,7 +335,7 @@ func (f *Fleet) updateIndexesLocked(name string, tokens, peers []string) (change
 		holders := f.sessionsByAddr[a]
 		if holders == nil {
 			holders = make(map[string]struct{}, 1)
-			f.sessionsByAddr[a] = holders
+			f.sessionsByAddr[strings.Clone(a)] = holders
 		}
 		holders[name] = struct{}{}
 	}

@@ -23,6 +23,10 @@ type table struct {
 	// (non-unique) columns, so point lookups are O(matches) and already
 	// in ascending order (reads copy, never sort).
 	secondary map[string]map[any][]int64
+	// owned holds the rows whose map this table made itself, by a
+	// copy-on-write update, and shares with nobody: later updates may
+	// write into it. Every other row map is shared (see applyUpdate).
+	owned map[int64]struct{}
 }
 
 func newTable(def TableDef) *table {
@@ -32,6 +36,7 @@ func newTable(def TableDef) *table {
 		unique:    make(map[string]map[any]int64),
 		refIndex:  make(map[string]map[int64]map[int64]struct{}),
 		secondary: make(map[string]map[any][]int64),
+		owned:     make(map[int64]struct{}),
 	}
 	for _, c := range def.Columns {
 		if c.Unique {

@@ -103,7 +103,7 @@ func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 		if !ok {
 			return fmt.Errorf("no such table %q", e.Table)
 		}
-		t.restoreRow(e.RowID, copyValues(e.Values))
+		t.restoreRow(e.RowID, e.Values) // rows are immutable: share the entry's map
 	case OpUpdate:
 		t, ok := tables[e.Table]
 		if !ok {
@@ -112,7 +112,7 @@ func applyEntryToTables(tables map[string]*table, e LogEntry) error {
 		if _, ok := t.rows[e.RowID]; !ok {
 			return fmt.Errorf("%s: no row with id %d", e.Table, e.RowID)
 		}
-		t.applyUpdate(e.RowID, copyValues(e.Values))
+		t.applyUpdate(e.RowID, e.Values)
 	case OpDelete:
 		t, ok := tables[e.Table]
 		if !ok {

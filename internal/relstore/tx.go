@@ -270,7 +270,9 @@ func (tx *Tx) Insert(tableName string, values map[string]any) (int64, error) {
 	t.rows[id] = norm
 	t.indexRow(id, norm)
 	tx.undo = append(tx.undo, undoEntry{op: OpInsert, table: tableName, rowID: id})
-	tx.pending = append(tx.pending, LogEntry{Op: OpInsert, Table: tableName, RowID: id, Values: copyValues(norm)})
+	// The row map is immutable from here on (updates copy on write), so
+	// the binlog entry and every read epoch share it.
+	tx.pending = append(tx.pending, LogEntry{Op: OpInsert, Table: tableName, RowID: id, Values: norm})
 	return id, nil
 }
 
@@ -301,13 +303,9 @@ func (tx *Tx) Update(tableName string, id int64, changes map[string]any) error {
 	if err := tx.checkChangedConstraints(t, norm, id); err != nil {
 		return err
 	}
-	t.unindexRow(id, cur, norm)
-	for k, v := range norm {
-		cur[k] = v
-	}
-	t.reindexRow(id, cur, norm)
+	t.applyUpdate(id, norm)
 	tx.undo = append(tx.undo, undoEntry{op: OpUpdate, table: tableName, rowID: id, values: prev})
-	tx.pending = append(tx.pending, LogEntry{Op: OpUpdate, Table: tableName, RowID: id, Values: copyValues(norm)})
+	tx.pending = append(tx.pending, LogEntry{Op: OpUpdate, Table: tableName, RowID: id, Values: norm})
 	return nil
 }
 
@@ -364,6 +362,7 @@ func (tx *Tx) Delete(tableName string, id int64) error {
 	old := t.rows[id]
 	t.unindexRow(id, old, old)
 	delete(t.rows, id)
+	delete(t.owned, id)
 	tx.undo = append(tx.undo, undoEntry{op: OpDelete, table: tableName, rowID: id, values: old})
 	tx.pending = append(tx.pending, LogEntry{Op: OpDelete, Table: tableName, RowID: id})
 	return nil
@@ -495,6 +494,7 @@ func (t *table) removeRow(id int64) {
 	if vals, ok := t.rows[id]; ok {
 		t.unindexRow(id, vals, vals)
 		delete(t.rows, id)
+		delete(t.owned, id)
 		if t.nextID == id {
 			t.nextID--
 		}
@@ -504,19 +504,32 @@ func (t *table) removeRow(id int64) {
 // restoreRow reinstates a row with a specific id (rollback/replication path).
 func (t *table) restoreRow(id int64, vals map[string]any) {
 	t.rows[id] = vals
+	delete(t.owned, id) // vals may be shared
 	t.indexRow(id, vals)
 	if id > t.nextID {
 		t.nextID = id
 	}
 }
 
-// applyUpdate overwrites columns of a row (rollback/replication path).
+// applyUpdate overwrites columns of a row. An inserted row's map is
+// shared by the write table, its binlog entry and both read epochs, so
+// the first update copies the row; the copy is then owned by this table
+// and later updates write into it.
 func (t *table) applyUpdate(id int64, changes map[string]any) {
 	cur, ok := t.rows[id]
 	if !ok {
 		return
 	}
 	t.unindexRow(id, cur, changes)
+	if _, own := t.owned[id]; !own {
+		next := make(map[string]any, len(cur)+len(changes))
+		for k, v := range cur {
+			next[k] = v
+		}
+		cur = next
+		t.rows[id] = cur
+		t.owned[id] = struct{}{}
+	}
 	for k, v := range changes {
 		cur[k] = v
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
@@ -38,9 +39,83 @@ type Repo struct {
 	seq   uint64
 }
 
+// history keeps the head revision's content whole and every older one as
+// a reverse delta against its successor, the way RCS stores files: a
+// config that changes by a few lines per revision costs a few lines per
+// revision, not a full copy.
 type history struct {
-	revs     []Revision
-	contents []string // parallel to revs
+	revs []Revision
+	head string
+	back []delta // back[i] turns revision i+2's content into revision i+1's
+}
+
+// delta is a line edit script applied to the newer content.
+type delta []deltaOp
+
+type deltaOp struct {
+	keep, drop int    // copy keep lines of the newer content, then skip drop
+	add        string // then insert this text
+}
+
+// splitLines cuts s after every newline, so joining the pieces gives s
+// back exactly.
+func splitLines(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.SplitAfter(s, "\n")
+}
+
+// diffBack builds the delta that turns newer into older.
+func diffBack(newer, older string) delta {
+	var d delta
+	for _, e := range confdiff.ComputeLines(splitLines(newer), splitLines(older)).Edits {
+		if len(d) == 0 || (e.Kind == confdiff.Equal && d[len(d)-1].add != "") {
+			d = append(d, deltaOp{})
+		}
+		op := &d[len(d)-1]
+		switch e.Kind {
+		case confdiff.Equal:
+			if op.drop > 0 {
+				d = append(d, deltaOp{})
+				op = &d[len(d)-1]
+			}
+			op.keep += len(e.Lines)
+		case confdiff.Remove:
+			op.drop += len(e.Lines)
+		case confdiff.Add:
+			// Clone: the lines are substrings of older, which must not
+			// stay reachable through the delta.
+			op.add += strings.Clone(strings.Join(e.Lines, ""))
+		}
+	}
+	return d
+}
+
+// apply reconstructs the older content from the newer one.
+func (d delta) apply(newer string) string {
+	lines := splitLines(newer)
+	var b strings.Builder
+	b.Grow(len(newer))
+	pos := 0
+	for _, op := range d {
+		for _, l := range lines[pos : pos+op.keep] {
+			b.WriteString(l)
+		}
+		pos += op.keep + op.drop
+		b.WriteString(op.add)
+	}
+	return b.String()
+}
+
+// content reconstructs revision number (1-based) by walking the reverse
+// deltas back from the head.
+func (h *history) content(number int) string {
+	c := h.head
+	for i := len(h.revs) - 2; i >= number-1; i-- {
+		c = h.back[i].apply(c)
+	}
+	return c
 }
 
 // NewRepo creates an empty repository.
@@ -81,8 +156,11 @@ func (r *Repo) Commit(path, content, author, message string) (Revision, error) {
 		Message: message,
 		Seq:     r.seq,
 	}
+	if len(h.revs) > 0 {
+		h.back = append(h.back, diffBack(content, h.head))
+	}
 	h.revs = append(h.revs, rev)
-	h.contents = append(h.contents, content)
+	h.head = content
 	return rev, nil
 }
 
@@ -108,7 +186,7 @@ func (r *Repo) Get(path string, number int) (string, error) {
 	if number < 1 || number > len(h.revs) {
 		return "", fmt.Errorf("revctl: %s has no revision %d (head is %d)", path, number, len(h.revs))
 	}
-	return h.contents[number-1], nil
+	return h.content(number), nil
 }
 
 // GetHead returns the latest content of a path.
@@ -119,7 +197,7 @@ func (r *Repo) GetHead(path string) (string, error) {
 	if !ok || len(h.revs) == 0 {
 		return "", fmt.Errorf("revctl: no such path %q", path)
 	}
-	return h.contents[len(h.contents)-1], nil
+	return h.head, nil
 }
 
 // History returns all revisions of a path, oldest first.

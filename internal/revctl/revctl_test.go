@@ -2,6 +2,7 @@ package revctl
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +163,54 @@ func TestQuickHistoryFidelity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: older revisions, stored as reverse line deltas, come back
+// byte for byte — across line edits, inserts, deletes, blank lines, a
+// missing trailing newline and empty content.
+func TestReverseDeltasRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r := NewRepo()
+	lines := []string{}
+	for i := 0; i < 40; i++ {
+		lines = append(lines, fmt.Sprintf("line %d", i))
+	}
+	var want []string
+	for rev := 0; rev < 200; rev++ {
+		for k := rng.Intn(4); k >= 0; k-- {
+			i := rng.Intn(len(lines) + 1)
+			switch rng.Intn(3) {
+			case 0:
+				lines = append(lines[:i], append([]string{fmt.Sprintf("new %d.%d", rev, k)}, lines[i:]...)...)
+			case 1:
+				if i < len(lines) {
+					lines = append(lines[:i], lines[i+1:]...)
+				}
+			default:
+				if i < len(lines) {
+					lines[i] = ""
+				}
+			}
+		}
+		content := strings.Join(lines, "\n")
+		switch rng.Intn(5) {
+		case 0:
+			content = ""
+		case 1, 2:
+			content += "\n"
+		}
+		if len(want) > 0 && want[len(want)-1] == content {
+			continue
+		}
+		if _, err := r.Commit("p", content, "a", ""); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, content)
+	}
+	for i, w := range want {
+		if got, err := r.Get("p", i+1); err != nil || got != w {
+			t.Fatalf("revision %d: got %q, want %q (err %v)", i+1, got, w, err)
+		}
 	}
 }

@@ -35,12 +35,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/robotron-net/robotron/internal/confdiff"
 	"github.com/robotron-net/robotron/internal/fbnet"
 	"github.com/robotron-net/robotron/internal/ipam"
 	"github.com/robotron-net/robotron/internal/telemetry"
+	"github.com/robotron-net/robotron/internal/topo"
 )
 
 // Invariant names one checked property class.
@@ -130,7 +132,15 @@ type Checker struct {
 	// the whole config is treated as new.
 	golden func(device string) (string, error)
 
+	// idx is the topology index Check reads; mu serializes Check over
+	// its cursor and the per-key violations it keeps (see incremental.go).
+	idx    *topo.Index
+	mu     sync.Mutex
+	cursor uint64
+	found  map[vkey][]Violation
+
 	runs       *telemetry.Counter
+	rechecked  *telemetry.Counter
 	rejections *telemetry.Counter
 	violations map[Invariant]*telemetry.Counter
 	latency    *telemetry.Histogram
@@ -139,7 +149,15 @@ type Checker struct {
 // NewChecker builds a gate over the store. golden may be nil when no
 // config repository exists (hunks are then diffed against empty).
 func NewChecker(store *fbnet.Store, golden func(device string) (string, error)) *Checker {
-	return &Checker{store: store, golden: golden}
+	return &Checker{store: store, golden: golden, idx: topo.New(store)}
+}
+
+// SetIndex makes Check read idx, a topology index over the same store
+// shared with other stages, instead of the checker's own.
+func (c *Checker) SetIndex(idx *topo.Index) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.idx, c.cursor, c.found = idx, 0, nil
 }
 
 // Instrument registers the robotron_verify_* metrics on reg.
@@ -148,7 +166,9 @@ func (c *Checker) Instrument(reg *telemetry.Registry) {
 	reg.Help("robotron_verify_rejections_total", "Gate runs that rejected a deployment.")
 	reg.Help("robotron_verify_violations_total", "Invariant violations found by the gate, by invariant.")
 	reg.Help("robotron_verify_seconds", "Verification gate latency in seconds.")
+	reg.Help("robotron_verify_keys_rechecked_total", "FBNet-only invariant keys the incremental gate recomputed.")
 	c.runs = reg.Counter("robotron_verify_runs_total")
+	c.rechecked = reg.Counter("robotron_verify_keys_rechecked_total")
 	c.rejections = reg.Counter("robotron_verify_rejections_total")
 	c.violations = map[Invariant]*telemetry.Counter{}
 	for _, inv := range Invariants {
@@ -158,11 +178,12 @@ func (c *Checker) Instrument(reg *telemetry.Registry) {
 	c.latency = reg.Histogram("robotron_verify_seconds")
 }
 
-// Check verifies the rendered configs (device name → config text) against
-// the whole FBNet Desired state. The configs map is the deployment's
-// candidate set; invariants over FBNet alone (subnets, reachability,
-// circuit endpoints) are checked network-wide regardless of the set.
-func (c *Checker) Check(configs map[string]string) (Result, error) {
+// CheckFull verifies the rendered configs (device name → config text)
+// against the whole FBNet Desired state, re-reading every table. It is
+// the reference Check is property-tested against; invariants over FBNet
+// alone (subnets, reachability, circuit endpoints) are checked
+// network-wide regardless of the set.
+func (c *Checker) CheckFull(configs map[string]string) (Result, error) {
 	start := time.Now()
 	c.runs.Inc()
 	net, err := c.loadNetwork()
@@ -182,15 +203,13 @@ func (c *Checker) Check(configs map[string]string) (Result, error) {
 		}
 		vs = append(vs, found...)
 	}
-	sort.Slice(vs, func(i, j int) bool {
-		if vs[i].Invariant != vs[j].Invariant {
-			return vs[i].Invariant < vs[j].Invariant
-		}
-		if vs[i].Device != vs[j].Device {
-			return vs[i].Device < vs[j].Device
-		}
-		return vs[i].Detail < vs[j].Detail
-	})
+	return c.finish(configs, vs, start), nil
+}
+
+// finish orders the violations, attaches their hunks and records the
+// run's metrics.
+func (c *Checker) finish(configs map[string]string, vs []Violation, start time.Time) Result {
+	sortViolations(vs)
 	c.attachHunks(configs, vs)
 	res := Result{Violations: vs, Devices: len(configs), Elapsed: time.Since(start)}
 	for _, v := range vs {
@@ -200,7 +219,31 @@ func (c *Checker) Check(configs map[string]string) (Result, error) {
 		c.rejections.Inc()
 	}
 	c.latency.ObserveSince(start)
-	return res, nil
+	return res
+}
+
+// sortViolations puts violations in a total order: two runs over the
+// same network list the same violations in the same order.
+func sortViolations(vs []Violation) {
+	sort.Slice(vs, func(i, j int) bool {
+		a, b := &vs[i], &vs[j]
+		if a.Invariant != b.Invariant {
+			return a.Invariant < b.Invariant
+		}
+		if a.Device != b.Device {
+			return a.Device < b.Device
+		}
+		if a.Detail != b.Detail {
+			return a.Detail < b.Detail
+		}
+		if a.Model != b.Model {
+			return a.Model < b.Model
+		}
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		return a.needle < b.needle
+	})
 }
 
 // network is the resolved object graph every pass walks.
@@ -236,17 +279,21 @@ func (c *Checker) loadNetwork() (*network, error) {
 	if err != nil {
 		return nil, err
 	}
+	hws, err := c.store.Find("HardwareProfile", nil)
+	if err != nil {
+		return nil, err
+	}
 	hwVendor := map[int64]int64{}
-	if hws, err := c.store.Find("HardwareProfile", nil); err == nil {
-		for _, hw := range hws {
-			hwVendor[hw.ID] = hw.Ref("vendor")
-		}
+	for _, hw := range hws {
+		hwVendor[hw.ID] = hw.Ref("vendor")
+	}
+	vendors, err := c.store.Find("Vendor", nil)
+	if err != nil {
+		return nil, err
 	}
 	vendorSyntax := map[int64]string{}
-	if vendors, err := c.store.Find("Vendor", nil); err == nil {
-		for _, v := range vendors {
-			vendorSyntax[v.ID] = v.String("syntax")
-		}
+	for _, v := range vendors {
+		vendorSyntax[v.ID] = v.String("syntax")
 	}
 	for _, d := range devs {
 		net.devByID[d.ID] = d
@@ -387,20 +434,12 @@ func (c *Checker) checkBGPSymmetry(net *network, configs map[string]string) ([]V
 				lName, rName := net.devName(l), net.devName(r)
 				if cfg, ok := configs[lName]; ok {
 					if raddr := s.String("remote_addr"); raddr != "" && !containsAddr(cfg, raddr) {
-						vs = append(vs, Violation{
-							Invariant: BGPSymmetry, Device: lName, Model: model, ID: s.ID,
-							Detail: fmt.Sprintf("rendered config omits neighbor %s (session to %s)", raddr, rName),
-							needle: raddr,
-						})
+						vs = append(vs, missingNeighbor(lName, model, s.ID, raddr, "to", rName))
 					}
 				}
 				if cfg, ok := configs[rName]; ok {
 					if laddr := c.localSideAddr(net, s, model); laddr != "" && !containsAddr(cfg, laddr) {
-						vs = append(vs, Violation{
-							Invariant: BGPSymmetry, Device: rName, Model: model, ID: s.ID,
-							Detail: fmt.Sprintf("rendered config omits neighbor %s (session from %s)", laddr, lName),
-							needle: laddr,
-						})
+						vs = append(vs, missingNeighbor(rName, model, s.ID, laddr, "from", lName))
 					}
 				}
 			}
@@ -408,32 +447,9 @@ func (c *Checker) checkBGPSymmetry(net *network, configs map[string]string) ([]V
 	}
 	for _, devID := range net.devIDs {
 		for _, sType := range []string{"ebgp", "ibgp"} {
-			byAS := claims[claimKey{devID, sType}]
-			if len(byAS) <= 1 {
-				continue
+			if v, ok := claimViolation(claims[claimKey{devID, sType}], devID, net.devName(devID), sType); ok {
+				vs = append(vs, v)
 			}
-			var asns []int64
-			for as := range byAS {
-				asns = append(asns, as)
-			}
-			sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-			// The minority AS is the likeliest flip; point the hunk at it.
-			minority := asns[0]
-			for _, as := range asns {
-				if byAS[as] < byAS[minority] {
-					minority = as
-				}
-			}
-			parts := make([]string, len(asns))
-			for i, as := range asns {
-				parts[i] = fmt.Sprintf("%d (%d sessions)", as, byAS[as])
-			}
-			vs = append(vs, Violation{
-				Invariant: BGPSymmetry, Device: net.devName(devID), Model: "Device", ID: devID,
-				Detail: fmt.Sprintf("device claims %d different AS numbers across internal %s sessions: %s",
-					len(asns), sType, strings.Join(parts, ", ")),
-				needle: strconv.FormatInt(minority, 10),
-			})
 		}
 	}
 	return vs, nil
@@ -450,14 +466,7 @@ func (c *Checker) checkP2PConsistency(net *network, _ map[string]string) ([]Viol
 	if err != nil {
 		return nil, err
 	}
-	type end struct {
-		dev    int64
-		addr   netip.Addr
-		prefix netip.Prefix
-		model  string
-		id     int64
-	}
-	groups := map[netip.Prefix][]end{}
+	groups := map[netip.Prefix][]p2pEnd{}
 	var allSubnets []netip.Prefix
 	subnetOwner := map[netip.Prefix]string{}
 	for _, model := range []string{"V6Prefix", "V4Prefix"} {
@@ -488,7 +497,7 @@ func (c *Checker) checkP2PConsistency(net *network, _ map[string]string) ([]Viol
 				continue // external: one side is an ISP we do not model
 			}
 			dev := net.aggDev[p.Ref("interface")]
-			groups[subnet] = append(groups[subnet], end{
+			groups[subnet] = append(groups[subnet], p2pEnd{
 				dev: dev, addr: pfx.Addr(), prefix: pfx, model: model, id: p.ID,
 			})
 		}
@@ -504,45 +513,9 @@ func (c *Checker) checkP2PConsistency(net *network, _ map[string]string) ([]Viol
 		return subnets[i].Bits() < subnets[j].Bits()
 	})
 	for _, subnet := range subnets {
-		ends := groups[subnet]
-		switch {
-		case len(ends) == 1:
-			e := ends[0]
-			vs = append(vs, Violation{
-				Invariant: P2PConsistency, Device: net.devName(e.dev), Model: e.model, ID: e.id,
-				Detail: fmt.Sprintf("p2p subnet %s is addressed on only one end (%s on %s)",
-					subnet, e.prefix, net.devName(e.dev)),
-				needle: e.addr.String(),
-			})
-		case len(ends) > 2:
-			names := make([]string, len(ends))
-			for i, e := range ends {
-				names[i] = net.devName(e.dev)
-			}
-			sort.Strings(names)
-			vs = append(vs, Violation{
-				Invariant: P2PConsistency, Device: names[0], Model: ends[0].model, ID: ends[0].id,
-				Detail: fmt.Sprintf("p2p subnet %s is addressed on %d interfaces (%s); a point-to-point subnet has exactly two ends",
-					subnet, len(ends), strings.Join(names, ", ")),
-				needle: subnet.Addr().String(),
-			})
-		default: // two ends
-			a, z := ends[0], ends[1]
-			if a.dev == z.dev {
-				vs = append(vs, Violation{
-					Invariant: P2PConsistency, Device: net.devName(a.dev), Model: a.model, ID: a.id,
-					Detail: fmt.Sprintf("both ends of p2p subnet %s land on device %s", subnet, net.devName(a.dev)),
-					needle: a.addr.String(),
-				})
-			} else if !adjacent[pairKey(a.dev, z.dev)] {
-				vs = append(vs, Violation{
-					Invariant: P2PConsistency, Device: net.devName(a.dev), Model: a.model, ID: a.id,
-					Detail: fmt.Sprintf("p2p subnet %s spans %s and %s, which share no circuit — address reuse across circuits",
-						subnet, net.devName(a.dev), net.devName(z.dev)),
-					needle: a.addr.String(),
-				})
-			}
-		}
+		vs = append(vs, endViolations(subnet, groups[subnet], net.devName, func(a, z int64) bool {
+			return adjacent[pairKey(a, z)]
+		})...)
 	}
 	// Replay every subnet into a fresh pool per family: overlapping
 	// allocations of different lengths (a /126 swallowing a /127) collide
@@ -653,11 +626,7 @@ func (c *Checker) checkReachability(net *network, _ map[string]string) ([]Violat
 		if c.reaches(net, adj, devID, cl, rank) {
 			continue
 		}
-		vs = append(vs, Violation{
-			Invariant: Reachability, Device: d.String("name"), Model: "Device", ID: devID,
-			Detail: fmt.Sprintf("%s (%s) has no intact circuit path to its aggregation layer",
-				d.String("name"), d.String("role")),
-		})
+		vs = append(vs, unreachable(devID, d.String("name"), d.String("role")))
 	}
 	return vs, nil
 }
@@ -711,13 +680,7 @@ func (c *Checker) checkOrphanRefs(net *network, configs map[string]string) ([]Vi
 		if a != 0 && z != 0 {
 			continue
 		}
-		missingDev, missingIf := parseCircuitEnd(cir.String("circuit_id"), a == 0)
-		vs = append(vs, Violation{
-			Invariant: OrphanRef, Device: missingDev, Model: "Circuit", ID: cir.ID,
-			Detail: fmt.Sprintf("%s circuit %s lost endpoint %s:%s — interface no longer resolves in FBNet",
-				cir.String("status"), cir.String("circuit_id"), missingDev, missingIf),
-			needle: missingIf,
-		})
+		vs = append(vs, orphanCircuit(cir.ID, cir.String("circuit_id"), cir.String("status"), a == 0))
 	}
 	// p2p/external prefixes must stay bound to an existing interface.
 	for _, model := range []string{"V6Prefix", "V4Prefix"} {
@@ -801,7 +764,6 @@ func (c *Checker) checkOrphanRefs(net *network, configs map[string]string) ([]Vi
 // stanzas must name interfaces of the device, neighbor statements must
 // correspond to designed sessions.
 func (c *Checker) scanConfig(net *network, dev fbnet.Object, name, cfg string) []Violation {
-	var vs []Violation
 	valid := map[string]bool{"lo0": true}
 	for pifID, d := range net.pifDev {
 		if d == dev.ID {
@@ -815,10 +777,18 @@ func (c *Checker) scanConfig(net *network, dev fbnet.Object, name, cfg string) [
 	}
 	expectedNbrs, err := c.expectedNeighbors(net, dev.ID)
 	if err != nil {
-		return vs
+		return nil
 	}
+	return scanLines(name, cfg, net.syntax[dev.ID], valid, expectedNbrs)
+}
+
+// scanLines walks a rendered config in the device's syntax: every
+// interface stanza must name a valid interface, every neighbor statement
+// an expected address.
+func scanLines(name, cfg, syntax string, valid, expectedNbrs map[string]bool) []Violation {
+	var vs []Violation
 	ifaceRe, nbrRe := ifaceV1Re, neighborV1Re
-	if net.syntax[dev.ID] == "vendor2" {
+	if syntax == "vendor2" {
 		ifaceRe, nbrRe = ifaceV2Re, neighborV2Re
 	}
 	for _, line := range strings.Split(cfg, "\n") {
