@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race verify-gate pipeline chaos sim obs bench bench-generate bench-reconcile bench-telemetry bench-scale
+.PHONY: tier1 build vet test race verify-gate pipeline chaos sim obs fuzz bench bench-generate bench-reconcile bench-telemetry bench-scale
 
 # Tier-1 gate: what CI and reviewers run before merging.
-tier1: verify-gate pipeline sim obs
+tier1: verify-gate pipeline sim obs fuzz
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -24,6 +24,13 @@ verify-gate:
 pipeline:
 	$(GO) test -race -timeout 10m -run 'TestPipeline|TestProvisionRaisesNoCheckErrors' ./internal/core/
 	$(GO) test -race -timeout 5m -run 'TestViolationOrderIsTotal' ./internal/verify/
+
+# Fuzz smoke: a few seconds of coverage-guided hostile input against the
+# thriftlite decoder (the FBNet RPC wire format). The checked-in corpus
+# under internal/thriftlite/testdata/fuzz/ — seeds and past crashers —
+# also replays under plain `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 5s ./internal/thriftlite/
 
 build:
 	$(GO) build ./...
@@ -84,17 +91,14 @@ bench-generate:
 	@grep -h '"Output".*ns/op' BENCH_generate.json | sed 's/.*"Output":"//;s/\\n"}//;s/\\t/\t/g'
 
 # Reconciliation-loop benchmark: time-to-convergence when the whole
-# fleet drifts at once, vs fleet size (8/64/256), captured as a go-test
-# JSON event stream for trend tracking, then the storm sizes
-# (256/4096/16384) in single-domain vs 64-site sharded mode —
-# ROBOTRON_BENCH_LARGE=1 unlocks the 16384 rows.
+# fleet drifts at once, vs fleet size (8/64/256/4096/16384), in
+# single-domain vs 64-site sharded mode, captured as a go-test JSON event
+# stream for trend tracking — ROBOTRON_BENCH_LARGE=1 unlocks the 16384
+# rows.
 bench-reconcile:
-	$(GO) test -json -run '^$$' -benchmem \
-		-bench 'BenchmarkReconcileConverge' \
-		./internal/reconcile/ > BENCH_reconcile.json
 	ROBOTRON_BENCH_LARGE=1 $(GO) test -json -run '^$$' -benchmem -timeout 30m \
 		-bench 'BenchmarkScaleReconcileConverge' \
-		./internal/reconcile/ >> BENCH_reconcile.json
+		./internal/reconcile/ > BENCH_reconcile.json
 	@grep -h '"Output".*ns/op' BENCH_reconcile.json | sed 's/.*"Output":"//;s/\\n"}//;s/\\t/\t/g'
 
 # Telemetry benchmarks: registry primitives (counter/histogram/span,

@@ -92,26 +92,6 @@ func BenchmarkTable3Syslog(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializePOPCluster measures the design stage alone: one
-// 4-post POP template materialized into ~110 FBNet objects.
-func BenchmarkMaterializePOPCluster(b *testing.B) {
-	r, err := core.New(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := r.Designer.EnsureSite("pop1", "pop", "apac"); err != nil {
-		b.Fatal(err)
-	}
-	ctx := design.ChangeContext{EmployeeID: "bench", TicketID: "T-b", Domain: "pop", NowUnix: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Designer.BuildCluster(ctx, "pop1", fmt.Sprintf("c%d", i), design.POPGen1()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMaterializeLargeCluster validates the §5.1.1 claim that
 // template designs translate to "tens of thousands of FBNet objects
 // within minutes": one 48-rack Gen3 DC cluster (thousands of objects) per

@@ -91,14 +91,14 @@ func RecordGate(store *fbnet.Store, devices int, violations []string, atUnix int
 }
 
 // RecordGateBypass persists a deployment that skipped verification
-// (-no-verify): habitual bypasses must be visible in the operational
-// record even though no invariants were checked.
+// (core.Options.VerifyIntent false): habitual bypasses must be visible
+// in the operational record even though no invariants were checked.
 func RecordGateBypass(store *fbnet.Store, devices int, atUnix int64) error {
 	_, err := store.Mutate(func(m *fbnet.Mutation) error {
 		_, err := m.Create("OperationalEvent", map[string]any{
 			"device_name": "verify-gate",
 			"kind":        "verify-gate",
-			"detail":      fmt.Sprintf("gate BYPASSED for deployment of %d devices (-no-verify)", devices),
+			"detail":      fmt.Sprintf("gate BYPASSED for deployment of %d devices (VerifyIntent off)", devices),
 			"urgency":     "WARNING",
 			"at_unix":     atUnix,
 		})

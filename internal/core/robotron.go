@@ -155,8 +155,8 @@ type Options struct {
 	// network-wide invariants (BGP symmetry, p2p subnet consistency,
 	// reachability, orphan references) over the candidate configs before
 	// any device is touched. nil means ON — bypassing the gate is the
-	// exceptional case (the CLI's -no-verify), so it takes an explicit
-	// false.
+	// exceptional case, an emergency escape hatch, so it takes an
+	// explicit false.
 	VerifyIntent *bool
 }
 

@@ -117,7 +117,7 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 		t.Error("bgp-symmetry violation counter not incremented")
 	}
 
-	// The escape hatch: with the gate off (-no-verify), the same deploy
+	// The escape hatch: with the gate off (VerifyIntent false), the same deploy
 	// goes through — explicitly accepted risk, not a hidden default.
 	r.VerifyIntent = false
 	if _, err := r.GenerateAndDeploy(res.Devices, deploy.Options{}, "e1"); err != nil {
@@ -139,7 +139,7 @@ func TestVerifyGateRejectsBeforeAnyManagementSession(t *testing.T) {
 	}
 }
 
-// TestVerifyGateOptionDisables covers the Options plumbing for -no-verify.
+// TestVerifyGateOptionDisables covers the Options plumbing for VerifyIntent=false.
 func TestVerifyGateOptionDisables(t *testing.T) {
 	off := false
 	r, err := New(Options{VerifyIntent: &off})

@@ -22,6 +22,12 @@ import (
 // Responses are either "OK <n>\n" followed by n bytes of body, or
 // "ERR <message>\n". Structured show commands return JSON bodies.
 
+// maxMgmtBody caps a message body in either direction: a config pushed
+// with load-config, and a reply the server sends and the client reads.
+// A length header past it is corrupt or hostile, and is refused before
+// anything is allocated.
+const maxMgmtBody = 16 << 20
+
 // MgmtServer serves the management CLI for one fleet.
 type MgmtServer struct {
 	fleet *Fleet
@@ -190,7 +196,7 @@ func (s *MgmtServer) dispatch(w net.Conn, r *bufio.Reader, dev *Device, line str
 		replyJSON(v, err)
 	case strings.HasPrefix(line, "load-config "):
 		n, err := strconv.Atoi(strings.TrimPrefix(line, "load-config "))
-		if err != nil || n < 0 || n > 16<<20 {
+		if err != nil || n < 0 || n > maxMgmtBody {
 			writeErr(w, "bad length")
 			return
 		}
@@ -233,7 +239,13 @@ func (s *MgmtServer) dispatch(w net.Conn, r *bufio.Reader, dev *Device, line str
 	return dropped
 }
 
+// writeOK frames a reply body; one past maxMgmtBody, which the client
+// would refuse as garbled, is answered with an error instead.
 func writeOK(w io.Writer, body string) {
+	if len(body) > maxMgmtBody {
+		writeErr(w, "reply too large")
+		return
+	}
 	fmt.Fprintf(w, "OK %d\n%s", len(body), body)
 }
 
@@ -392,7 +404,7 @@ func (c *MgmtClient) readReply() (string, error) {
 		return "", fmt.Errorf("%w: malformed reply %q", ErrGarbledReply, header)
 	}
 	n, err := strconv.Atoi(lenStr)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > maxMgmtBody {
 		return "", fmt.Errorf("%w: malformed reply length %q", ErrGarbledReply, lenStr)
 	}
 	buf := make([]byte, n)

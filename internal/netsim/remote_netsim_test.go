@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -152,4 +156,71 @@ func TestRemoteDeviceDownMapsUnreachable(t *testing.T) {
 	if !r1.Reachable() {
 		t.Error("recovered device reported unreachable")
 	}
+}
+
+// TestMgmtClientRejectsOversizedReply answers one command with a forged
+// length header and no body. A length past the 16 MiB body cap must be
+// refused as garbled before the client allocates or waits for it; a
+// length within the cap still reads its body. A server asked to send a
+// body past the cap answers an error the client reports as such.
+func TestMgmtClientRejectsOversizedReply(t *testing.T) {
+	cases := []struct {
+		name    string
+		reply   func(io.Writer)
+		garbled bool
+		err     string
+		bodyLen int
+	}{
+		{name: "cap plus one", reply: forged(fmt.Sprintf("OK %d\n", maxMgmtBody+1)), garbled: true},
+		{name: "terabyte", reply: forged("OK 1099511627776\n"), garbled: true},
+		{name: "max int", reply: forged("OK 9223372036854775807\n"), garbled: true},
+		{name: "past int64", reply: forged("OK 99999999999999999999\n"), garbled: true},
+		{name: "negative", reply: forged("OK -1\n"), garbled: true},
+		{name: "within cap", reply: forged("OK 5\nhello"), bodyLen: 5},
+		{
+			name:    "server body at cap",
+			reply:   func(w io.Writer) { writeOK(w, strings.Repeat("x", maxMgmtBody)) },
+			bodyLen: maxMgmtBody,
+		},
+		{
+			name:  "server body past cap",
+			reply: func(w io.Writer) { writeOK(w, strings.Repeat("x", maxMgmtBody+1)) },
+			err:   "netsim: reply too large",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			go func() {
+				defer server.Close()
+				if _, err := bufio.NewReader(server).ReadString('\n'); err != nil {
+					return
+				}
+				tc.reply(server)
+			}()
+			c := &MgmtClient{conn: client, r: bufio.NewReader(client)}
+			c.SetOpTimeout(5 * time.Second)
+			body, err := c.Do("show running-config")
+			switch {
+			case tc.garbled:
+				if !errors.Is(err, ErrGarbledReply) {
+					t.Fatalf("err = %v, want ErrGarbledReply", err)
+				}
+			case tc.err != "":
+				if err == nil || errors.Is(err, ErrGarbledReply) || err.Error() != tc.err {
+					t.Fatalf("err = %v, want %q", err, tc.err)
+				}
+			case err != nil:
+				t.Fatalf("err = %v", err)
+			case len(body) != tc.bodyLen:
+				t.Fatalf("body of %d bytes, want %d", len(body), tc.bodyLen)
+			}
+		})
+	}
+}
+
+// forged replies with raw bytes, bypassing writeOK's framing.
+func forged(raw string) func(io.Writer) {
+	return func(w io.Writer) { io.WriteString(w, raw) }
 }

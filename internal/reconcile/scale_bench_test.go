@@ -7,11 +7,13 @@ import (
 	"time"
 
 	"github.com/robotron-net/robotron/internal/monitor"
+	"github.com/robotron-net/robotron/internal/vclock"
 )
 
-// BenchmarkScaleReconcileConverge extends the convergence benchmark to
-// query-storm fleet sizes: the whole fleet drifts at once and the loop
-// drives every device back. Uses the fake world + virtual clock so the
+// BenchmarkScaleReconcileConverge measures time-to-convergence of the
+// control loop as fleet size grows, from a small POP (8) to query-storm
+// sizes: the whole fleet drifts at once and the loop drives every device
+// back. Uses the fake world + virtual clock so the
 // number isolates reconciler overhead (state machine, journal, budget
 // math, scheduling). Two modes: "global" keeps the fleet in one failure
 // domain (every name derives to the same shard), "sharded" spreads it
@@ -20,7 +22,7 @@ import (
 // ROBOTRON_BENCH_LARGE=1; `make bench-reconcile` and `make bench-scale`
 // set the variable.
 func BenchmarkScaleReconcileConverge(b *testing.B) {
-	sizes := []int{256, 4096}
+	sizes := []int{8, 64, 256, 4096}
 	if os.Getenv("ROBOTRON_BENCH_LARGE") == "1" {
 		sizes = append(sizes, 16384)
 	}
@@ -28,23 +30,25 @@ func BenchmarkScaleReconcileConverge(b *testing.B) {
 	for _, fleet := range sizes {
 		names := make([]string, fleet)
 		siteOf := make(map[string]string, fleet)
+		shardSize := map[string]int{}
 		for i := range names {
 			names[i] = fmt.Sprintf("dev%05d", i)
 			siteOf[names[i]] = fmt.Sprintf("site%02d", i%sites)
+			shardSize[siteOf[names[i]]]++
 		}
 		for _, mode := range []string{"global", "sharded"} {
 			b.Run(fmt.Sprintf("fleet=%d/%s", fleet, mode), func(b *testing.B) {
 				deps := Deps{}
 				if mode == "sharded" {
 					deps.SiteOf = func(d string) string { return siteOf[d] }
-					deps.ShardFleetSize = func(string) int { return fleet / sites }
+					deps.ShardFleetSize = func(s string) int { return shardSize[s] }
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					w := newFakeWorld(names...)
-					clk := NewVirtualClock(t0)
+					clk := vclock.NewVirtualClock(t0)
 					d := deps
 					d.Golden = w
 					d.Deployer = deployerFunc(w.deployClock(clk))
@@ -65,6 +69,12 @@ func BenchmarkScaleReconcileConverge(b *testing.B) {
 					b.StopTimer()
 					if got := len(w.deploys); got != fleet {
 						b.Fatalf("deploys = %d, want %d", got, fleet)
+					}
+					states := r.States()
+					for _, name := range names {
+						if states[name] != StateConverged {
+							b.Fatalf("%s did not converge", name)
+						}
 					}
 					b.StartTimer()
 				}

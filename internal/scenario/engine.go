@@ -270,7 +270,45 @@ func (e *engine) build() error {
 		e.sites[fl.Site] = devices
 		e.devices = append(e.devices, devices...)
 	}
+	if bb := f.Backbone; bb != nil {
+		if err := e.buildBackbone(bb); err != nil {
+			return e.setup("backbone", err)
+		}
+	}
 	sort.Strings(e.devices)
+	return nil
+}
+
+// buildBackbone adds the backbone routers, cables them as a ring and
+// deploys them.
+func (e *engine) buildBackbone(bb *BackboneSpec) error {
+	r := e.r
+	if _, err := r.Designer.EnsureSite(bb.Site, "backbone", "nam"); err != nil {
+		return err
+	}
+	for _, name := range bb.Routers {
+		if _, err := r.Designer.AddBackboneRouter(e.ctx(), name, bb.Site, "Backbone_Vendor2", "bb"); err != nil {
+			return err
+		}
+	}
+	for i, a := range bb.Routers {
+		if _, err := r.Designer.AddBackboneCircuit(e.ctx(), a, bb.Routers[(i+1)%len(bb.Routers)], 1); err != nil {
+			return err
+		}
+	}
+	if _, err := r.PromoteCircuits(); err != nil {
+		return err
+	}
+	if err := r.SyncFleet(); err != nil {
+		return err
+	}
+	if _, err := r.GenerateAndDeploy(bb.Routers, deploy.Options{}, "sim"); err != nil {
+		return err
+	}
+	routers := append([]string(nil), bb.Routers...)
+	sort.Strings(routers)
+	e.sites[bb.Site] = routers
+	e.devices = append(e.devices, routers...)
 	return nil
 }
 
@@ -354,6 +392,12 @@ func describeEvent(ev *EventSpec) string {
 		return "firewall " + ev.FirewallName
 	case ActRelease:
 		return "release " + ev.Device
+	case ActUncable:
+		return "uncable " + ev.Device + ":" + ev.Port
+	case ActAddCircuit:
+		return fmt.Sprintf("add-circuit %s x%d", strings.Join(ev.Devices, "--"), ev.Members)
+	case ActMigrate:
+		return fmt.Sprintf("migrate-circuit %s -> %s", strings.Join(ev.Devices, "--"), ev.Device)
 	case ActResetBreaker:
 		if ev.Shard != "" {
 			return "reset-breaker shard=" + ev.Shard
@@ -488,6 +532,20 @@ func (e *engine) exec(ev *EventSpec) error {
 			_, bad := e.settled()
 			e.note("[%s]   NOT settled after %d round(s): %s", e.elapsed(), rounds, strings.Join(bad, ","))
 		}
+	case ActUncable:
+		if !e.r.Fleet.Uncable(ev.Device, ev.Port) {
+			return fail("%s:%s is not cabled", ev.Device, ev.Port)
+		}
+	case ActAddCircuit:
+		if _, err := e.r.Designer.AddBackboneCircuit(e.ctx(), ev.Devices[0], ev.Devices[1], ev.Members); err != nil {
+			return fail("design: %v", err)
+		}
+		// The cabling work order: lay the new circuits' cables.
+		if err := e.r.SyncFleet(); err != nil {
+			return fail("sync fleet: %v", err)
+		}
+	case ActMigrate:
+		return e.execMigrate(ev, fail)
 	case ActWait:
 		// advanceTo already moved the clock; the expects do the work.
 	case ActCollect:
@@ -519,6 +577,43 @@ func (e *engine) exec(ev *EventSpec) error {
 	return nil
 }
 
+// execMigrate moves the Z end of the one circuit from devices[0] (its A
+// end) to devices[1] over to the new device, then carries out the
+// cabling work order.
+func (e *engine) execMigrate(ev *EventSpec, fail func(string, ...any) *RunError) error {
+	a, z := ev.Devices[0], ev.Devices[1]
+	cands, err := e.r.Store.Find("Circuit", fbnet.Contains("circuit_id", a+":"))
+	if err != nil {
+		return fail("circuits of %s: %v", a, err)
+	}
+	var ids []string
+	for _, c := range cands {
+		id := c.String("circuit_id")
+		if ad, zd := circuitEnds(id); ad == a && zd == z {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) != 1 {
+		return fail("want exactly one circuit with A end %s and Z end %s, found %d", a, z, len(ids))
+	}
+	if _, err := e.r.Designer.MigrateCircuit(e.ctx(), ids[0], ev.Device); err != nil {
+		return fail("design: %v", err)
+	}
+	if _, err := e.r.ApplyRecabling(); err != nil {
+		return fail("recabling: %v", err)
+	}
+	e.note("[%s]   migrated %s to %s", e.elapsed(), ids[0], ev.Device)
+	return nil
+}
+
+// circuitEnds returns the devices of a circuit id, "<a>:<port>--<z>:<port>".
+func circuitEnds(id string) (aDev, zDev string) {
+	aEnd, zEnd, _ := strings.Cut(id, "--")
+	aDev, _, _ = strings.Cut(aEnd, ":")
+	zDev, _, _ = strings.Cut(zEnd, ":")
+	return aDev, zDev
+}
+
 // execDeploy handles the deploy action: dryrun (stage, diff, discard)
 // or execute (generate → verify gate → commit golden → deploy).
 func (e *engine) execDeploy(ev *EventSpec, fail func(string, ...any) *RunError) error {
@@ -548,7 +643,14 @@ func (e *engine) execDeploy(ev *EventSpec, fail func(string, ...any) *RunError) 
 		e.note("[%s]   dryrun: %d device(s) staged, %d with pending diff", e.elapsed(), len(diffs), changed)
 		return nil
 	}
-	rep, err := e.r.GenerateAndDeploy(targets, deploy.Options{}, "sim")
+	opts := deploy.Options{Atomic: ev.Atomic}
+	if ev.Phased {
+		// Each phase commits its share of the devices still to go, then
+		// gates the next on their health (§5.3.2).
+		opts.Phases = []deploy.Phase{{Name: "canary", Percent: 25}, {Name: "half", Percent: 50}, {Name: "rest"}}
+		opts.HealthCheck = core.MetricHealthCheck(95)
+	}
+	rep, err := e.r.GenerateAndDeploy(targets, opts, "sim")
 	switch {
 	case ev.ExpectReject:
 		var rej *verify.RejectionError

@@ -25,7 +25,8 @@ type File struct {
 	Start       time.Time     // virtual start instant
 	End         time.Duration // scenario length; 0 = ends with the last event
 	Fleet       FleetSpec
-	ExtraFleets []FleetSpec // additional sites = additional failure domains
+	ExtraFleets []FleetSpec   // additional sites = additional failure domains
+	Backbone    *BackboneSpec // nil: no backbone routers
 	Reconciler  ReconcilerSpec
 	Faults      FaultsSpec
 	Service     *ServiceSpec // nil: single in-process store
@@ -43,6 +44,15 @@ type FleetSpec struct {
 	Template string // pop-gen1, pop-gen2, dc-gen1, dc-gen2, dc-gen3
 	Racks    int    // dc templates only: server racks with TORs
 	Line     int
+}
+
+// BackboneSpec declares a backbone site, in region nam, whose routers
+// the scenario provisions at t=0 after the fleets, cabled as a ring (one circuit per
+// neighbouring pair) and deployed. Routers keep their given names.
+type BackboneSpec struct {
+	Site    string
+	Routers []string
+	Line    int
 }
 
 // ReconcilerSpec tunes the drift reconciler; zero values select the
@@ -96,20 +106,23 @@ type DeploySpec struct {
 
 // Event actions.
 const (
-	ActDrift         = "drift"          // out-of-band running-config edit
-	ActDeploy        = "deploy"         // generate + verify + deploy
-	ActChaos         = "chaos"          // arm/disarm the fault engine
-	ActCorruptDesign = "corrupt-design" // break an FBNet invariant
-	ActFirewall      = "firewall"       // fleet-wide design change (ACL)
-	ActKillMaster    = "kill-master"    // fail the master store
-	ActPromote       = "promote"        // promote the best replica
-	ActRelease       = "release"        // operator releases a quarantined device
-	ActResetBreaker  = "reset-breaker"  // operator re-arms a tripped loop
-	ActSweep         = "sweep"          // one full-fleet conformance sweep
-	ActConverge      = "converge"       // sweep+advance loop until settled
-	ActWait          = "wait"           // advance to `at`, then just assert
-	ActSnapshot      = "snapshot"       // record mgmt-op and golden baselines
-	ActCollect       = "collect"        // one monitoring cycle + alarm evaluation
+	ActDrift         = "drift"           // out-of-band running-config edit
+	ActDeploy        = "deploy"          // generate + verify + deploy
+	ActChaos         = "chaos"           // arm/disarm the fault engine
+	ActCorruptDesign = "corrupt-design"  // break an FBNet invariant
+	ActFirewall      = "firewall"        // fleet-wide design change (ACL)
+	ActKillMaster    = "kill-master"     // fail the master store
+	ActPromote       = "promote"         // promote the best replica
+	ActRelease       = "release"         // operator releases a quarantined device
+	ActResetBreaker  = "reset-breaker"   // operator re-arms a tripped loop
+	ActSweep         = "sweep"           // one full-fleet conformance sweep
+	ActConverge      = "converge"        // sweep+advance loop until settled
+	ActWait          = "wait"            // advance to `at`, then just assert
+	ActSnapshot      = "snapshot"        // record mgmt-op and golden baselines
+	ActCollect       = "collect"         // one monitoring cycle + alarm evaluation
+	ActUncable       = "uncable"         // cut the cable on one device port
+	ActAddCircuit    = "add-circuit"     // design a backbone circuit bundle
+	ActMigrate       = "migrate-circuit" // move a backbone circuit's Z end
 )
 
 // EventSpec is one timed step of the sequence.
@@ -119,14 +132,18 @@ type EventSpec struct {
 	Idx    int // position in the events list (0-based), for reporting
 	Line   int
 
-	Device  string   // drift, release
-	Devices []string // deploy; ["all"] targets the whole fleet
+	Device  string   // drift, release, uncable; migrate-circuit: where the Z end moves
+	Devices []string // deploy (["all"] targets the whole fleet); add-/migrate-circuit: the A and Z ends
 	Text    string   // drift: the injected line
 	Cut     string   // drift: remove golden lines containing this substring
+	Port    string   // uncable: the interface whose cable is cut
+	Members int      // add-circuit: circuits in the bundle (default 1)
 
 	DryRun       bool // deploy: stage + diff + discard, commit nothing
 	MayFail      bool // deploy: tolerate failure (chaos leaves drift behind)
 	ExpectReject bool // deploy: the verify gate MUST reject it
+	Atomic       bool // deploy: commit as one transaction, all or nothing
+	Phased       bool // deploy: canary 25%, then half of the rest, then the rest, each gated on health
 
 	Armed bool // chaos
 
@@ -395,8 +412,8 @@ func (d *decoder) strings(n *node, key string) []string {
 func (d *decoder) decodeFile(root *node) *File {
 	if !d.fields(root, "scenario",
 		"name", "description", "seed", "start", "end",
-		"fleet", "extra_fleets", "reconciler", "faults", "service", "deploy",
-		"events", "assert") {
+		"fleet", "extra_fleets", "backbone", "reconciler", "faults", "service",
+		"deploy", "events", "assert") {
 		return nil
 	}
 	f := &File{Seed: 1, Start: defaultStart}
@@ -431,6 +448,9 @@ func (d *decoder) decodeFile(root *node) *File {
 				return nil
 			}
 		}
+	}
+	if c, ok := root.children["backbone"]; ok && d.fields(c, "backbone", "site", "routers") {
+		f.Backbone = &BackboneSpec{Site: d.str(c, "site"), Routers: d.strings(c, "routers"), Line: c.line}
 	}
 	if c, ok := root.children["reconciler"]; ok {
 		f.Reconciler = d.decodeReconciler(c)
@@ -571,9 +591,9 @@ func (d *decoder) decodeEvents(n *node) []EventSpec {
 
 func (d *decoder) decodeEvent(n *node, idx int) EventSpec {
 	if !d.fields(n, "event",
-		"at", "action", "device", "devices", "line", "cut", "dryrun", "may_fail",
-		"expect_reject", "armed", "what", "name", "rounds", "step", "shard",
-		"expect") {
+		"at", "action", "device", "devices", "line", "cut", "port", "members",
+		"dryrun", "may_fail", "expect_reject", "atomic", "phased", "armed",
+		"what", "name", "rounds", "step", "shard", "expect") {
 		return EventSpec{}
 	}
 	ev := EventSpec{Idx: idx, Line: n.line}
@@ -588,6 +608,12 @@ func (d *decoder) decodeEvent(n *node, idx int) EventSpec {
 	ev.Devices = d.strings(n, "devices")
 	ev.Text = d.str(n, "line")
 	ev.Cut = d.str(n, "cut")
+	ev.Port = d.str(n, "port")
+	if _, ok := n.children["members"]; ok {
+		ev.Members = int(d.integer(n, "members"))
+	} else if ev.Action == ActAddCircuit {
+		ev.Members = 1
+	}
 	if _, ok := n.children["dryrun"]; ok {
 		ev.DryRun = d.boolean(n, "dryrun")
 	}
@@ -596,6 +622,12 @@ func (d *decoder) decodeEvent(n *node, idx int) EventSpec {
 	}
 	if _, ok := n.children["expect_reject"]; ok {
 		ev.ExpectReject = d.boolean(n, "expect_reject")
+	}
+	if _, ok := n.children["atomic"]; ok {
+		ev.Atomic = d.boolean(n, "atomic")
+	}
+	if _, ok := n.children["phased"]; ok {
+		ev.Phased = d.boolean(n, "phased")
 	}
 	if _, ok := n.children["armed"]; ok {
 		ev.Armed = d.boolean(n, "armed")

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,7 +36,8 @@ var validActions = map[string]bool{
 	ActDrift: true, ActDeploy: true, ActChaos: true, ActCorruptDesign: true,
 	ActFirewall: true, ActKillMaster: true, ActPromote: true, ActRelease: true,
 	ActResetBreaker: true, ActSweep: true, ActConverge: true, ActWait: true,
-	ActSnapshot: true, ActCollect: true,
+	ActSnapshot: true, ActCollect: true, ActUncable: true, ActAddCircuit: true,
+	ActMigrate: true,
 }
 
 var validAsserts = map[string]bool{
@@ -98,6 +100,24 @@ func Validate(f *File) error {
 	for _, ff := range fleets {
 		knownSites[ff.Site] = true
 		for _, name := range FleetDevices(ff) {
+			known[name] = true
+		}
+	}
+	if bb := f.Backbone; bb != nil {
+		if bb.Site == "" {
+			return e(bb.Line, "backbone is missing the required \"site\"")
+		}
+		if knownSites[bb.Site] {
+			return e(bb.Line, "backbone site %q is also a fleet site", bb.Site)
+		}
+		if len(bb.Routers) < 3 {
+			return e(bb.Line, "backbone needs at least 3 routers (they are cabled as a ring)")
+		}
+		knownSites[bb.Site] = true
+		for _, name := range bb.Routers {
+			if known[name] {
+				return e(bb.Line, "backbone router %q is declared twice", name)
+			}
 			known[name] = true
 		}
 	}
@@ -301,16 +321,35 @@ func validateEventFields(e func(int, string, ...any) error, ev *EventSpec, ctx s
 			field string
 			have  bool
 		}{
-			{"devices", len(ev.Devices) > 0}, {"dryrun", ev.DryRun},
-			{"may_fail", ev.MayFail}, {"expect_reject", ev.ExpectReject},
+			{"dryrun", ev.DryRun}, {"may_fail", ev.MayFail},
+			{"expect_reject", ev.ExpectReject}, {"atomic", ev.Atomic},
+			{"phased", ev.Phased},
 		} {
 			if err := reject(c.have, c.field); err != nil {
 				return err
 			}
 		}
 	}
-	if ev.Action != ActDrift && ev.Action != ActRelease {
+	circuit := ev.Action == ActAddCircuit || ev.Action == ActMigrate
+	if ev.Action != ActDeploy && !circuit {
+		if err := reject(len(ev.Devices) > 0, "devices"); err != nil {
+			return err
+		}
+	}
+	switch ev.Action {
+	case ActDrift, ActRelease, ActUncable, ActMigrate:
+	default:
 		if err := reject(ev.Device != "", "device"); err != nil {
+			return err
+		}
+	}
+	if ev.Action != ActUncable {
+		if err := reject(ev.Port != "", "port"); err != nil {
+			return err
+		}
+	}
+	if ev.Action != ActAddCircuit {
+		if err := reject(ev.Members != 0, "members"); err != nil {
 			return err
 		}
 	}
@@ -350,6 +389,43 @@ func validateEventFields(e func(int, string, ...any) error, ev *EventSpec, ctx s
 		}
 		if ev.ExpectReject && ev.MayFail {
 			return e(ev.Line, "%s: expect_reject and may_fail are mutually exclusive", ctx)
+		}
+		if ev.DryRun && (ev.Atomic || ev.Phased) {
+			return e(ev.Line, "%s: a dryrun commits nothing, so atomic and phased do not apply", ctx)
+		}
+	case ActUncable:
+		if err := need(ev.Device != "", "device"); err != nil {
+			return err
+		}
+		if err := need(ev.Port != "", "port"); err != nil {
+			return err
+		}
+		if ev.Device == "all" {
+			return e(ev.Line, "%s: uncable targets one device, not \"all\"", ctx)
+		}
+	case ActAddCircuit, ActMigrate:
+		if f.Backbone == nil {
+			return e(ev.Line, "%s: action %q needs a \"backbone\" section", ctx, ev.Action)
+		}
+		if len(ev.Devices) != 2 || ev.Devices[0] == ev.Devices[1] {
+			return e(ev.Line, "%s: %s needs 2 distinct \"devices\" (the circuit's ends), got %d", ctx, ev.Action, len(ev.Devices))
+		}
+		ends := ev.Devices
+		if ev.Action == ActMigrate {
+			if err := need(ev.Device != "", "device"); err != nil {
+				return err
+			}
+			if ev.Device == ends[0] || ev.Device == ends[1] {
+				return e(ev.Line, "%s: the new far end %q is already an end of the circuit", ctx, ev.Device)
+			}
+			ends = append([]string{ev.Device}, ends...)
+		} else if ev.Members < 1 {
+			return e(ev.Line, "%s: add-circuit needs a positive \"members\"", ctx)
+		}
+		for _, name := range ends {
+			if !slices.Contains(f.Backbone.Routers, name) {
+				return e(ev.Line, "%s: %q is not a backbone router (known: %s)", ctx, name, strings.Join(f.Backbone.Routers, ", "))
+			}
 		}
 	case ActRelease:
 		if err := need(ev.Device != "", "device"); err != nil {

@@ -34,11 +34,13 @@ func TestValidateAcceptsBase(t *testing.T) {
 }
 
 // TestValidateGolden pins the exact first-error message for a table of
-// invalid scenarios. These strings are the operator-facing contract of
+// invalid scenarios, whether decoding (ill-typed fields) or validation
+// catches it. These strings are the operator-facing contract of
 // `robotron sim validate`; every message carries file:line.
 func TestValidateGolden(t *testing.T) {
 	fleet := "fleet:\n  site: pop1\n  cluster: pop1-c1\n  template: pop-gen1\n"
 	tail := "events:\n  - at: 1m\n    action: wait\n"
+	backbone := "backbone:\n  site: bb\n  routers: [bb1, bb2, bb3]\n"
 	cases := []struct {
 		name string
 		src  string
@@ -107,7 +109,7 @@ func TestValidateGolden(t *testing.T) {
 		{
 			"unknown action",
 			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: explode\n",
-			`s.yaml:7: event 0: unknown action "explode" (known: chaos, collect, converge, corrupt-design, deploy, drift, firewall, kill-master, promote, release, reset-breaker, snapshot, sweep, wait)`,
+			`s.yaml:7: event 0: unknown action "explode" (known: add-circuit, chaos, collect, converge, corrupt-design, deploy, drift, firewall, kill-master, migrate-circuit, promote, release, reset-breaker, snapshot, sweep, uncable, wait)`,
 		},
 		{
 			"events out of order",
@@ -155,6 +157,61 @@ func TestValidateGolden(t *testing.T) {
 			`s.yaml:7: event 0: chaos event without fault rules`,
 		},
 		{
+			"uncable without port",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: uncable\n    device: psw1.pop1-c1\n",
+			`s.yaml:7: event 0: action "uncable" needs "port"`,
+		},
+		{
+			"port on wrong action",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: drift\n    device: psw1.pop1-c1\n    line: \"! x\"\n    port: et1\n",
+			`s.yaml:7: event 0: field "port" is not valid for action "drift"`,
+		},
+		{
+			"add-circuit with one device",
+			"name: x\n" + fleet + backbone + "events:\n  - at: 1m\n    action: add-circuit\n    devices: [bb1]\n",
+			`s.yaml:10: event 0: add-circuit needs 2 distinct "devices" (the circuit's ends), got 1`,
+		},
+		{
+			"add-circuit ill-typed members",
+			"name: x\n" + fleet + backbone + "events:\n  - at: 1m\n    action: add-circuit\n    devices: [bb1, bb2]\n    members: two\n",
+			`s.yaml:13: field "members": "two" is not an integer`,
+		},
+		{
+			"add-circuit without backbone",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: add-circuit\n    devices: [psw1.pop1-c1, psw2.pop1-c1]\n",
+			`s.yaml:7: event 0: action "add-circuit" needs a "backbone" section`,
+		},
+		{
+			"unknown backbone router",
+			"name: x\n" + fleet + backbone + "events:\n  - at: 1m\n    action: migrate-circuit\n    devices: [bb1, bb2]\n    device: bb9\n",
+			`s.yaml:10: event 0: "bb9" is not a backbone router (known: bb1, bb2, bb3)`,
+		},
+		{
+			"migrate-circuit onto its own end",
+			"name: x\n" + fleet + backbone + "events:\n  - at: 1m\n    action: migrate-circuit\n    devices: [bb1, bb2]\n    device: bb2\n",
+			`s.yaml:10: event 0: the new far end "bb2" is already an end of the circuit`,
+		},
+		{
+			"backbone of two routers",
+			"name: x\n" + fleet + "backbone:\n  site: bb\n  routers: [bb1, bb2]\n" + tail,
+			`s.yaml:7: backbone needs at least 3 routers (they are cabled as a ring)`,
+		},
+		{
+			"ill-typed phased",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: deploy\n    devices: [all]\n    phased: [25, 50]\n",
+			`s.yaml:10: field "phased" must be a scalar, got a sequence`,
+		},
+		{
+			"phased dryrun",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: deploy\n    devices: [all]\n    dryrun: true\n    phased: true\n",
+			`s.yaml:7: event 0: a dryrun commits nothing, so atomic and phased do not apply`,
+		},
+		{
+			"atomic on wrong action",
+			"name: x\n" + fleet + "events:\n  - at: 1m\n    action: wait\n    atomic: true\n",
+			`s.yaml:7: event 0: field "atomic" is not valid for action "wait"`,
+		},
+		{
 			"unknown assertion type",
 			"name: x\n" + fleet + tail + "assert:\n  - type: vibes\n",
 			`s.yaml:10: assert 0: unknown assertion type "vibes" (known: alarm, breaker, device-state, faults-fired, golden-unchanged, journal, metric, no-candidates, no-new-mgmt-ops, no-pending-confirms, running-matches-golden, verify-verdict)`,
@@ -192,7 +249,10 @@ func TestValidateGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := Validate(mustParse(t, tc.src))
+			f, err := Parse("s.yaml", tc.src) // ill-typed fields fail here
+			if err == nil {
+				err = Validate(f)
+			}
 			if err == nil {
 				t.Fatalf("Validate accepted an invalid scenario")
 			}

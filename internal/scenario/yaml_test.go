@@ -50,6 +50,10 @@ deploy:
   retry_attempts: 4
   parallelism: 1
 
+backbone:
+  site: bb-west
+  routers: [bb1, bb2, bb3]
+
 events:
   - at: 1m
     action: drift
@@ -62,6 +66,22 @@ events:
     expect:
       - type: no-candidates
         device: all
+  - at: 3m
+    action: deploy
+    devices: [bb1, bb2]
+    atomic: true
+    phased: true
+  - at: 4m
+    action: uncable
+    device: pr1.pop9-c1
+    port: et1/1
+  - at: 5m
+    action: add-circuit
+    devices: [bb1, bb2]
+  - at: 6m
+    action: migrate-circuit
+    devices: [bb1, bb2]
+    device: bb3
 
 assert:
   - type: metric
@@ -119,7 +139,10 @@ assert:
 	if f.Deploy.RetryAttempts != 4 || f.Deploy.Parallelism != 1 {
 		t.Errorf("deploy = %+v", f.Deploy)
 	}
-	if len(f.Events) != 2 {
+	if bb := f.Backbone; bb == nil || bb.Site != "bb-west" || len(bb.Routers) != 3 {
+		t.Errorf("backbone = %+v", f.Backbone)
+	}
+	if len(f.Events) != 6 {
 		t.Fatalf("events = %d", len(f.Events))
 	}
 	ev0 := f.Events[0]
@@ -135,6 +158,18 @@ assert:
 	}
 	if len(ev1.Expect) != 1 || ev1.Expect[0].Type != AssertNoCandidates {
 		t.Errorf("event 1 expect = %+v", ev1.Expect)
+	}
+	if ev := f.Events[2]; !ev.Atomic || !ev.Phased || ev.Members != 0 {
+		t.Errorf("event 2 = %+v", ev)
+	}
+	if ev := f.Events[3]; ev.Device != "pr1.pop9-c1" || ev.Port != "et1/1" {
+		t.Errorf("event 3 = %+v", ev)
+	}
+	if ev := f.Events[4]; ev.Members != 1 || len(ev.Devices) != 2 {
+		t.Errorf("event 4 = %+v (members defaults to 1)", ev)
+	}
+	if ev := f.Events[5]; ev.Device != "bb3" || ev.Members != 0 {
+		t.Errorf("event 5 = %+v", ev)
 	}
 	if len(f.Assert) != 1 || f.Assert[0].Op != "==" || f.Assert[0].Value != 0 {
 		t.Errorf("assert = %+v", f.Assert)

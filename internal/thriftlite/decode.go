@@ -30,9 +30,27 @@ func Unmarshal(data []byte, v any) error {
 }
 
 type decoder struct {
-	buf []byte
-	pos int
+	buf   []byte
+	pos   int
+	depth int // structs and skipped values being decoded, outermost first
 }
+
+// maxDepth bounds nesting. Decoding recurses once per level, and a
+// recursive type (a query tree) or an unknown field lets a hostile frame
+// nest a few bytes per level until the stack overflows, which no
+// recover can catch.
+const maxDepth = 100
+
+// enter descends one nesting level; the caller must call leave after.
+func (d *decoder) enter() error {
+	if d.depth >= maxDepth {
+		return fmt.Errorf("thriftlite: values nested deeper than %d", maxDepth)
+	}
+	d.depth++
+	return nil
+}
+
+func (d *decoder) leave() { d.depth-- }
 
 func (d *decoder) readByte() (byte, error) {
 	if d.pos >= len(d.buf) {
@@ -61,6 +79,20 @@ func (d *decoder) readVarint() (int64, error) {
 	return i, nil
 }
 
+// readCount reads a list or map element count. Every element takes at
+// least one byte on the wire, so a count above the bytes remaining is
+// corrupt; rejecting it bounds the allocation a frame can ask for.
+func (d *decoder) readCount() (int, error) {
+	n, err := d.readUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.buf)-d.pos) {
+		return 0, fmt.Errorf("thriftlite: count %d exceeds remaining data %d", n, len(d.buf)-d.pos)
+	}
+	return int(n), nil
+}
+
 func (d *decoder) readBytes(n uint64) ([]byte, error) {
 	if n > uint64(len(d.buf)-d.pos) {
 		return nil, fmt.Errorf("thriftlite: length %d exceeds remaining data %d", n, len(d.buf)-d.pos)
@@ -71,6 +103,10 @@ func (d *decoder) readBytes(n uint64) ([]byte, error) {
 }
 
 func (d *decoder) readStruct(rv reflect.Value) error {
+	if err := d.enter(); err != nil {
+		return err
+	}
+	defer d.leave()
 	fields, err := structFields(rv.Type())
 	if err != nil {
 		return err
@@ -168,7 +204,7 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
@@ -179,8 +215,8 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if declared != elemWT {
 			return fmt.Errorf("list element wire type %d does not match declared %s", elemWT, fv.Type().Elem())
 		}
-		sl := reflect.MakeSlice(fv.Type(), int(n), int(n))
-		for i := 0; i < int(n); i++ {
+		sl := reflect.MakeSlice(fv.Type(), n, n)
+		for i := 0; i < n; i++ {
 			ev := sl.Index(i)
 			if ev.Kind() == reflect.Pointer {
 				ev.Set(reflect.New(ev.Type().Elem()))
@@ -195,7 +231,7 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
@@ -206,8 +242,8 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 		if declared != valWT {
 			return fmt.Errorf("map value wire type %d does not match declared %s", valWT, fv.Type().Elem())
 		}
-		m := reflect.MakeMapWithSize(fv.Type(), int(n))
-		for i := 0; i < int(n); i++ {
+		m := reflect.MakeMapWithSize(fv.Type(), n)
+		for i := 0; i < n; i++ {
 			klen, err := d.readUvarint()
 			if err != nil {
 				return err
@@ -235,6 +271,10 @@ func (d *decoder) readValue(fv reflect.Value, wt byte) error {
 // skipValue discards a value of the given wire type, used for unknown
 // field ids during schema evolution.
 func (d *decoder) skipValue(wt byte) error {
+	if err := d.enter(); err != nil {
+		return err
+	}
+	defer d.leave()
 	switch wt {
 	case tBool:
 		_, err := d.readByte()
@@ -273,11 +313,11 @@ func (d *decoder) skipValue(wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			if err := d.skipValue(elemWT); err != nil {
 				return err
 			}
@@ -288,11 +328,11 @@ func (d *decoder) skipValue(wt byte) error {
 		if err != nil {
 			return err
 		}
-		n, err := d.readUvarint()
+		n, err := d.readCount()
 		if err != nil {
 			return err
 		}
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			klen, err := d.readUvarint()
 			if err != nil {
 				return err

@@ -464,3 +464,109 @@ func BenchmarkUnmarshalDevice(b *testing.B) {
 		}
 	}
 }
+
+// treeNode is a recursive type, like the FBNet query tree.
+type treeNode struct {
+	Subs []*treeNode `thrift:"1"`
+}
+
+// nestedTree marshals a chain of depth nodes.
+func nestedTree(t *testing.T, depth int) []byte {
+	t.Helper()
+	root := &treeNode{}
+	for n, i := root, 1; i < depth; i++ {
+		c := &treeNode{}
+		n.Subs = []*treeNode{c}
+		n = c
+	}
+	data, err := Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// nestedSkip is field 9, unknown to every test type, holding depth
+// nested one-element lists ending in an empty one.
+func nestedSkip(depth int) []byte {
+	out := []byte{tList, 9}
+	for i := 1; i < depth; i++ {
+		out = append(out, tList, 1)
+	}
+	return append(out, tBool, 0, tStop)
+}
+
+// TestUnmarshalHostileInput feeds frames that ask for more than they
+// carry: element counts past the bytes remaining (the first is a fuzzer
+// find that made the runtime abort with a 735 GB allocation), counts
+// past MaxInt, and nesting deep enough to exhaust the stack. Each must
+// come back as an error.
+func TestUnmarshalHostileInput(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // 2^64-1
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		data []byte
+		into any
+		want string
+	}{
+		{"struct list count", []byte{0x06, 0x01, 0x05, 0xf7, 0xf7, 0xf7, 0xf7, 0x30}, &testDevice{}, "exceeds remaining data"},
+		{"string list count", []byte{tList, 8, tString, 0x80, 0x80, 0x80, 0x80, 0x10}, &allTypes{}, "exceeds remaining data"},
+		{"map count", []byte{tMap, 10, tString, 0x80, 0x80, 0x80, 0x80, 0x10}, &allTypes{}, "exceeds remaining data"},
+		{"list count past MaxInt", cat([]byte{tList, 8, tString}, huge), &allTypes{}, "exceeds remaining data"},
+		{"map count past MaxInt", cat([]byte{tMap, 11, tI64}, huge), &allTypes{}, "exceeds remaining data"},
+		{"skipped list count past MaxInt", cat([]byte{tList, 9, tBool}, huge, []byte{tStop}), &testPif{}, "exceeds remaining data"},
+		{"skipped map count", []byte{tMap, 9, tBool, 0x80, 0x80, 0x80, 0x80, 0x10, tStop}, &testPif{}, "exceeds remaining data"},
+		{"recursive type nested too deep", nestedTree(t, maxDepth+1), &treeNode{}, "nested deeper"},
+		{"skipped value nested too deep", nestedSkip(maxDepth + 1), &testPif{}, "nested deeper"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Unmarshal(tc.data, tc.into)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Unmarshal(%d bytes) = %v, want an error containing %q", len(tc.data), err, tc.want)
+			}
+		})
+	}
+	// Nesting within the bound still decodes.
+	if err := Unmarshal(nestedTree(t, maxDepth), &treeNode{}); err != nil {
+		t.Errorf("tree of depth %d: %v", maxDepth, err)
+	}
+	if err := Unmarshal(nestedSkip(maxDepth-1), &testPif{}); err != nil {
+		t.Errorf("skipped field of depth %d: %v", maxDepth-1, err)
+	}
+}
+
+// FuzzUnmarshal decodes arbitrary bytes into the test schemas: decoding
+// may fail but must never panic or abort, and whatever decodes must
+// encode again. Seeds, including past crashers, are in
+// testdata/fuzz/FuzzUnmarshal and replay under plain `go test`.
+func FuzzUnmarshal(f *testing.F) {
+	for _, seed := range []any{
+		&testDevice{Aggs: []testAgg{{Name: "ae0", Pifs: []testPif{{Name: "et1/1"}}}}},
+		&allTypes{B: true, I: -3, S: "x", L: []string{"a"}, M: map[string]string{"k": "v"}, Sub: &testPif{Name: "p"}},
+		&treeNode{Subs: []*treeNode{{}, {Subs: []*treeNode{{}}}}},
+	} {
+		data, err := Marshal(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, v := range []any{&testDevice{}, &allTypes{}, &treeNode{}} {
+			if Unmarshal(data, v) != nil {
+				continue
+			}
+			if _, err := Marshal(v); err != nil {
+				t.Fatalf("decoded %T does not encode: %v", v, err)
+			}
+		}
+	})
+}
